@@ -94,6 +94,8 @@ class CRConditionSet:
             )
         if self.n < 1 or self.q < 1:
             raise ValueError("need n >= 1 and q >= 1")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("condition coefficients a must be finite")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "a", arr)
@@ -115,11 +117,11 @@ class CRConditionSet:
 
 @dataclass(frozen=True)
 class KernelSolution:
-    """Kernel weights b[m, i] plus the antisymmetric coupling c[j, i].
+    """Kernel weights b[m, i] plus the coupling c[j, i] they determine.
 
-    c[j, i] = Vol(B_n) * sum_m a[m, j] * b[m, i]; its diagonal equals e_0/n
-    and off-diagonal entries are antisymmetric when the weights solve the
-    bilinear constraints.
+    c[j, i] = Vol(B_n) * sum_m a[m, j] * b[m, i] is computed on construction,
+    so it always agrees with b.  The bilinear constraints say exactly that
+    the diagonal of c equals e_0/n and that c is antisymmetric off it.
     """
 
     table: AlgebraTable
@@ -127,10 +129,15 @@ class KernelSolution:
     q: int
     a: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
-    c: np.ndarray = field(repr=False)
     normalization: float
     residual: float
     nullity: int
+    c: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        c = ball_volume(self.n) * np.einsum("mjs,mid,sde->jie", self.a, self.b,
+                                            self.table.gamma)
+        object.__setattr__(self, "c", c)
 
     @classmethod
     def from_b(
@@ -140,19 +147,10 @@ class KernelSolution:
         residual: float = 0.0,
         nullity: int = 0,
     ) -> KernelSolution:
-        table = conditions.table
-        n, q, dim = conditions.n, conditions.q, table.dim
-        b = np.asarray(b, dtype=float).reshape(q, n, dim)
-        vol = ball_volume(n)
-        c = np.zeros((n, n, dim))
-        for j in range(n):
-            for i in range(n):
-                acc = np.zeros(dim)
-                for m in range(q):
-                    acc += table.mul_coeffs(conditions.a[m, j], b[m, i])
-                c[j, i] = vol * acc
+        n, q = conditions.n, conditions.q
+        b = np.asarray(b, dtype=float).reshape(q, n, conditions.table.dim)
         return cls(
-            table=table, n=n, q=q, a=conditions.a, b=b, c=c,
+            table=conditions.table, n=n, q=q, a=conditions.a, b=b,
             normalization=conditions.normalization,
             residual=residual, nullity=nullity,
         )
@@ -167,22 +165,12 @@ class KernelSolution:
         return CRConditionSet(self.table, self.n, self.q, self.a)
 
     def condition_violation(self) -> float:
-        """Max bilinear-constraint residual of these weights."""
-        table, n, q = self.table, self.n, self.q
-        kappa = self.normalization
-        e0 = np.zeros(table.dim)
-        e0[0] = kappa
-        worst = 0.0
-        for i in range(n):
-            for j in range(i, n):
-                acc = np.zeros(table.dim)
-                for m in range(q):
-                    acc += table.mul_coeffs(self.a[m, j], self.b[m, i])
-                    if i != j:
-                        acc += table.mul_coeffs(self.a[m, i], self.b[m, j])
-                target = e0 if i == j else 0.0
-                worst = max(worst, float(np.max(np.abs(acc - target))))
-        return worst
+        """Max bilinear-constraint residual of these weights, read off c."""
+        defect = self.c + self.c.transpose(1, 0, 2)
+        diag = np.arange(self.n)
+        defect[diag, diag] = self.c[diag, diag]
+        defect[diag, diag, 0] -= 1.0 / self.n
+        return float(np.max(np.abs(defect))) / ball_volume(self.n)
 
 
 @dataclass(frozen=True)
@@ -347,28 +335,17 @@ def check_ellipticity(
     """Verify sum_m P_m(X) Q_m(X) = kappa ||X||^2 e_0 coefficientwise.
 
     P_m(X) = sum_j X_j a[m, j] and Q_m(X) = sum_i X_i b[m, i]; the identity
-    is the quadratic-form restatement of the bilinear constraints.  Also
-    reports the minimum of sum_m |P_m(X)|^2 over sampled unit vectors X,
-    which must stay positive for elliptic conditions.
+    is the quadratic-form restatement of the bilinear constraints, so its
+    worst coefficient is the kernel's condition_violation.  Also reports the
+    minimum of sum_m |P_m(X)|^2 over sampled unit vectors X, which must stay
+    positive for elliptic conditions.
     """
-    table = conditions.table
-    n, q, dim = conditions.n, conditions.q, table.dim
-    kappa = conditions.normalization
-    target = np.zeros(dim)
-    target[0] = kappa
-    worst = 0.0
-    for i in range(n):
-        for j in range(i, n):
-            acc = np.zeros(dim)
-            for m in range(q):
-                acc += table.mul_coeffs(conditions.a[m, j], kernel.b[m, i])
-                if i != j:
-                    acc += table.mul_coeffs(conditions.a[m, i], kernel.b[m, j])
-            diff = acc - target if i == j else acc
-            worst = max(worst, float(np.max(np.abs(diff))))
+    if not np.array_equal(kernel.a, conditions.a):
+        raise ValueError("kernel was built for a different condition set")
+    worst = kernel.condition_violation()
 
     rng = np.random.default_rng(seed)
-    X = rng.standard_normal((samples, n))
+    X = rng.standard_normal((samples, conditions.n))
     X /= np.linalg.norm(X, axis=1, keepdims=True)
     # P_m(X) components: sum_j X_j a[m, j, s]
     symbols = np.einsum("kj,mjs->kms", X, conditions.a)

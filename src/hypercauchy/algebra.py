@@ -32,6 +32,8 @@ def _as_gamma(gamma) -> np.ndarray:
     g = np.asarray(gamma, dtype=float)
     if g.ndim != 3 or len(set(g.shape)) != 1:
         raise ValueError(f"structure constants must be a (dim,dim,dim) cube, got {g.shape}")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("structure constants gamma must be finite")
     return g
 
 

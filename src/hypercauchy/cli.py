@@ -63,13 +63,15 @@ def _fail(message: str) -> None:
     sys.exit(1)
 
 
-def _parse_vector(text: str, n: int | None = None) -> np.ndarray:
+def _parse_vector(option: str, text: str, n: int) -> np.ndarray:
     try:
         vec = np.array([float(p) for p in text.split(",")], dtype=float)
     except ValueError:
-        _fail(f"could not parse {text!r} as comma-separated reals")
-    if n is not None and vec.shape[0] != n:
-        _fail(f"expected {n} components, got {vec.shape[0]} in {text!r}")
+        _fail(f"could not parse {option} {text!r} as comma-separated reals")
+    if vec.shape[0] != n:
+        _fail(f"expected {n} components, got {vec.shape[0]} in {option} {text!r}")
+    if not np.all(np.isfinite(vec)):
+        _fail(f"{option} {text!r} has a non-finite component")
     return vec
 
 
@@ -175,7 +177,7 @@ def cr_solve(conditions: str, tol: float, out: str | None, fmt: str) -> None:
 
     Exit code 0 when feasible, 2 when infeasible, 1 on errors.
     """
-    if tol <= 0:
+    if not tol > 0:
         _fail("--tol must be positive")
     C = _resolve_conditions(conditions)
     try:
@@ -221,13 +223,15 @@ def reproduce(conditions: str, function_spec: str, point: str,
               center: str | None, radius: float, nodes: int, scheme: str,
               seed: int, tol: float | None, out: str | None, fmt: str) -> None:
     """Reproduce a solution from its boundary values through the kernel."""
+    if tol is not None and not tol > 0:
+        _fail("--tol must be positive")
     C = _resolve_conditions(conditions)
     try:
         kernel = CauchyKernel.from_conditions(C)
     except ValueError as exc:
         _fail(str(exc))
-    x = _parse_vector(point, C.n)
-    c = (np.zeros(C.n) if center is None else _parse_vector(center, C.n))
+    x = _parse_vector("--point", point, C.n)
+    c = np.zeros(C.n) if center is None else _parse_vector("--center", center, C.n)
     try:
         f = _resolve_function(function_spec, C.table, C.n)
         domain = BallDomain(c, radius)

@@ -3,9 +3,13 @@
 The kernel attached to a feasible condition set is the n-vector field
 
     Flux^j(y; x) = sum_m a[m, j] * phi_m(x, y) / ||y - x||^n
+                 = sum_i (y_i - x_i) c[j, i] / (Vol(B_n) ||y - x||^n)
 
-with phi_m(x, y) = sum_i b[m, i] (y_i - x_i); contracting it with the
-outward normal of a domain boundary and integrating reproduces solutions.
+with phi_m(x, y) = sum_i b[m, i] (y_i - x_i).  The second form holds in
+every algebra, associative or not, because the product is bilinear and
+c[j, i] = Vol(B_n) sum_m a[m, j] * b[m, i]; so the coupling c is all the
+kernel needs.  Contracting the field with the outward normal of a domain
+boundary and integrating reproduces solutions.
 """
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .admissibility import CRConditionSet, KernelSolution, solve_admissibility
-from .algebra import AlgElem
+from .algebra import AlgElem, ball_volume
 
 
 class OnDiagonal(Exception):
@@ -89,18 +93,9 @@ def kernel_field(kernel: CauchyKernel, x, y) -> list[AlgElem]:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     diff = _check_off_diagonal(x, y)
-    rn = float(np.linalg.norm(diff)) ** kernel.n
-    table = kernel.table
-    a = kernel.conditions.a
-    b = kernel.solution.b
-    phis = np.einsum("i,mid->md", diff, b)
-    out = []
-    for j in range(kernel.n):
-        acc = np.zeros(table.dim)
-        for m in range(kernel.conditions.q):
-            acc += table.mul_coeffs(a[m, j], phis[m])
-        out.append(AlgElem(table, acc / rn))
-    return out
+    scale = ball_volume(kernel.n) * float(np.linalg.norm(diff)) ** kernel.n
+    flux = np.einsum("i,jie->je", diff, kernel.solution.c) / scale
+    return [AlgElem(kernel.table, row) for row in flux]
 
 
 def kernel_field_batch(kernel: CauchyKernel, x, Y) -> np.ndarray:
@@ -111,10 +106,9 @@ def kernel_field_batch(kernel: CauchyKernel, x, Y) -> np.ndarray:
     r2 = np.sum(diff * diff, axis=1)
     if np.any(r2 == 0.0):
         raise OnDiagonal("a batch point coincides with the pole x")
-    table = kernel.table
-    phis = np.einsum("ti,mid->tmd", diff, kernel.solution.b)
-    flux = np.einsum("mjs,tmd,sde->tje", kernel.conditions.a, phis, table.gamma)
-    return flux / r2[:, None, None] ** (kernel.n / 2.0)
+    flux = np.einsum("ti,jie->tje", diff, kernel.solution.c)
+    scale = ball_volume(kernel.n) * r2 ** (kernel.n / 2.0)
+    return flux / scale[:, None, None]
 
 
 def closedness_residual(kernel: CauchyKernel, x, y,
@@ -150,18 +144,9 @@ def closedness_residual(kernel: CauchyKernel, x, y,
     else:
         b_eff = kernel.solution.b
 
-    lhs = np.zeros(dim)
-    for m in range(q):
-        for j in range(n):
-            lhs += table.mul_coeffs(a[m, j], b_eff[m, j])
-    lhs *= r2
-
-    phis = np.einsum("i,mid->md", diff, kernel.solution.b)
-    symbols = np.einsum("j,mjd->md", diff, a)
-    rhs = np.zeros(dim)
-    for m in range(q):
-        rhs += table.mul_coeffs(symbols[m], phis[m])
-    rhs *= n
+    lhs = r2 * np.einsum("mjs,mjd,sde->e", a, b_eff, table.gamma)
+    # sum_m P_m(X) * phi_m = sum_{j,i} X_j X_i c[j, i] / Vol, by bilinearity
+    rhs = n * np.einsum("j,i,jie->e", diff, diff, kernel.solution.c) / ball_volume(n)
 
     scale = n * kernel.conditions.normalization * r2
     return float(np.max(np.abs(lhs - rhs))) / scale

@@ -54,6 +54,8 @@ class AlgPolynomial:
             raise ValueError("coefficient width must equal the algebra dimension")
         if np.any(exps < 0):
             raise ValueError("exponents must be non-negative")
+        if not np.all(np.isfinite(cfs)):
+            raise ValueError("polynomial coeffs must be finite")
         # merge duplicate monomials so the representation is canonical
         order: dict[tuple[int, ...], int] = {}
         merged: list[np.ndarray] = []

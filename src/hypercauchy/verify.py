@@ -5,6 +5,19 @@ and compares against f(x); verify_representation subtracts the volume term
 that carries the condition defect of a general C^1 function; and
 derivative_via_kernel differentiates the kernel in the pole to recover
 first derivatives together with an empirical Cauchy-type bound.
+
+The boundary and derivative terms read the kernel only through its coupling
+c: the normal-contracted flux at a node is sum_{j,i} nu_j X_i c[j, i] /
+(Vol(B_n) r^n) with X = y - x, which holds in every algebra because the
+product is bilinear and f multiplies the flux only after it is summed.  The
+volume term keeps the weights b: its integrand is sum_m t_m * phi_m with
+t_m = sum_j (df/dy_j) * a[m, j], and (t a) b differs from t (a b) when the
+algebra is not associative.
+
+Every sum over nodes runs in blocks of CHUNK nodes: one (dim, dim) Gram
+matrix per block, contracted with the structure constants, and the block
+partials added in order, so the result does not depend on the BLAS thread
+count.  MAX_QUADRATURE_NODES caps the nodes of any rule before it is built.
 """
 from __future__ import annotations
 
@@ -13,12 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _accel
 from .algebra import AlgElem, ball_volume
 from .kernel import CauchyKernel
 from .solutions import AlgPolynomial, apply_cr_operator
 
 MIN_NODES = 8
+MAX_QUADRATURE_NODES = 2**22
+CHUNK = 4096
 
 
 class PointOutsideDomain(Exception):
@@ -27,6 +41,10 @@ class PointOutsideDomain(Exception):
 
 class QuadratureUnderResolved(Exception):
     """The half-resolution error estimate exceeds the requested bound."""
+
+
+class QuadratureTooLarge(ValueError):
+    """The rule would need more than MAX_QUADRATURE_NODES nodes."""
 
 
 @dataclass(frozen=True)
@@ -38,10 +56,12 @@ class BallDomain:
 
     def __post_init__(self):
         center = np.asarray(self.center, dtype=float).reshape(-1)
+        if not np.all(np.isfinite(center)):
+            raise ValueError("ball center must be finite")
         center.setflags(write=False)
         object.__setattr__(self, "center", center)
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
+        if not (self.radius > 0 and math.isfinite(self.radius)):
+            raise ValueError("ball radius must be positive and finite")
 
     @property
     def n(self) -> int:
@@ -170,15 +190,29 @@ def _sphere_directions_mc(n: int, total: int, seed: int):
     return omega, w
 
 
-def sphere_quadrature(domain: BallDomain, spec: QuadratureSpec):
-    """Nodes y, outward unit normals nu, and weights w with sum(w) = area."""
-    n = domain.n
+def _unit_directions(n: int, spec: QuadratureSpec, per_direction: int = 1):
+    """Unit directions and weights of the rule, built only after checking
+    that directions * per_direction nodes fit in MAX_QUADRATURE_NODES."""
     if spec.scheme == "product_gauss" and n > 4:
         raise ValueError("product_gauss supports n <= 4; use monte_carlo")
     if spec.scheme == "product_gauss":
-        omega, w = _sphere_directions_gauss(n, spec.nodes)
+        count = 2 if n == 1 else spec.nodes ** (n - 1)
     else:
-        omega, w = _sphere_directions_mc(n, spec.nodes, spec.seed)
+        count = 2 * max(1, spec.nodes // 2)
+    if count * per_direction > MAX_QUADRATURE_NODES:
+        raise QuadratureTooLarge(
+            f"rule needs {count * per_direction} nodes; "
+            f"the limit is {MAX_QUADRATURE_NODES}"
+        )
+    if spec.scheme == "product_gauss":
+        return _sphere_directions_gauss(n, spec.nodes)
+    return _sphere_directions_mc(n, spec.nodes, spec.seed)
+
+
+def sphere_quadrature(domain: BallDomain, spec: QuadratureSpec):
+    """Nodes y, outward unit normals nu, and weights w with sum(w) = area."""
+    n = domain.n
+    omega, w = _unit_directions(n, spec)
     Y = domain.center[None, :] + domain.radius * omega
     return Y, omega, w * domain.radius ** (n - 1)
 
@@ -212,7 +246,7 @@ def _eval_derivatives(f, Y: np.ndarray, n: int, dim: int,
 
 def _require_inside(x: np.ndarray, domain: BallDomain) -> None:
     dist = float(np.linalg.norm(x - domain.center))
-    if dist >= domain.radius:
+    if not dist < domain.radius:
         raise PointOutsideDomain(
             f"point at distance {dist:.6g} from center; radius {domain.radius:.6g}"
         )
@@ -242,14 +276,67 @@ def _check_is_solution(f, kernel: CauchyKernel, x: np.ndarray,
         )
 
 
+def _blocked_product(count: int, gram, gamma: np.ndarray) -> np.ndarray:
+    """Sum of left_t * right_t in the algebra over count nodes.
+
+    gram(block) returns the (dim, dim) matrix sum_t left_t (x) right_t over
+    the nodes of one slice of at most CHUNK nodes; each is contracted with
+    gamma and the partials are added in block order.
+    """
+    partials = [np.einsum("se,sek->k", gram(slice(lo, lo + CHUNK)), gamma)
+                for lo in range(0, count, CHUNK)]
+    return np.sum(partials, axis=0)
+
+
+def _normal_flux(nu: np.ndarray, X: np.ndarray, kernel: CauchyKernel) -> np.ndarray:
+    """sum_{j,i} nu_j X_i c[j, i] / Vol(B_n) at each node: (N, dim)."""
+    n = kernel.n
+    coupling = kernel.solution.c.reshape(n * n, -1) / ball_volume(n)
+    return (nu[:, :, None] * X[:, None, :]).reshape(-1, n * n) @ coupling
+
+
+def _boundary_sum(fv, X, nu, w, kernel: CauchyKernel) -> np.ndarray:
+    """sum_t w_t f(y_t) * _normal_flux_t / r_t^n with X = y - x; fv is (N, dim)."""
+
+    def gram(block):
+        Xb = X[block]
+        scale = w[block] / np.sum(Xb * Xb, axis=1) ** (kernel.n / 2.0)
+        return (scale[:, None] * fv[block]).T @ _normal_flux(nu[block], Xb, kernel)
+
+    return _blocked_product(len(w), gram, kernel.table.gamma)
+
+
+def _volume_sum(tv, X, w, kernel: CauchyKernel) -> np.ndarray:
+    """sum_t w_t sum_m t_m(y_t) * phi_m(x, y_t) / r_t^n; tv is (N, q, dim)."""
+    dim = kernel.table.dim
+
+    def gram(block):
+        Xb = X[block]
+        scale = w[block] / np.sum(Xb * Xb, axis=1) ** (kernel.n / 2.0)
+        phi = np.einsum("ti,mid->tmd", Xb, kernel.solution.b)
+        left = scale[:, None, None] * tv[block]
+        return left.reshape(-1, dim).T @ phi.reshape(-1, dim)
+
+    return _blocked_product(len(w), gram, kernel.table.gamma)
+
+
+def _derivative_flux(X, nu, i: int, kernel: CauchyKernel) -> np.ndarray:
+    """d/dx_i of the normal-contracted flux at each node: (N, dim).
+
+    (-r^2 sum_j nu_j c[j, i] + n X_i sum_{j,k} nu_j X_k c[j, k])
+    / (Vol(B_n) r^{n+2}), the pole derivative of _normal_flux / r^n.
+    """
+    n = kernel.n
+    r2 = np.sum(X * X, axis=1)[:, None]
+    nu_c_i = nu @ kernel.solution.c[:, i, :] / ball_volume(n)
+    outer = n * X[:, i, None] * _normal_flux(nu, X, kernel)
+    return (outer - nu_c_i * r2) / r2 ** ((n + 2) / 2.0)
+
+
 def _boundary_term(f, x, domain, kernel, spec) -> tuple[np.ndarray, int]:
     Y, nu, w = sphere_quadrature(domain, spec)
     fv = _eval_function(f, Y, kernel.table.dim)
-    acc = _accel.boundary_accumulate(
-        fv, Y - x[None, :], nu, w, kernel.conditions.a, kernel.solution.b,
-        kernel.table.gamma, kernel.n,
-    )
-    return acc, Y.shape[0]
+    return _boundary_sum(fv, Y - x[None, :], nu, w, kernel), Y.shape[0]
 
 
 def boundary_reproduce(
@@ -301,12 +388,9 @@ def _volume_term(f, x, domain, kernel, spec) -> tuple[np.ndarray, int]:
     kernel singularity, leaving a smooth integrand on [0, t(omega)].
     """
     n = domain.n
-    if spec.scheme == "product_gauss":
-        omega, w_ang = _sphere_directions_gauss(n, spec.nodes)
-    else:
-        omega, w_ang = _sphere_directions_mc(n, spec.nodes, spec.seed)
     k_rad = spec.radial_nodes if spec.radial_nodes is not None else spec.nodes
     k_rad = max(MIN_NODES, k_rad)
+    omega, w_ang = _unit_directions(n, spec, per_direction=k_rad)
     t_ref, t_w = np.polynomial.legendre.leggauss(k_rad)
     t_ref = 0.5 * (t_ref + 1.0)  # reference [0, 1]
     t_w = 0.5 * t_w
@@ -324,19 +408,10 @@ def _volume_term(f, x, domain, kernel, spec) -> tuple[np.ndarray, int]:
     Wflat = W.ravel()
     Xflat = Yflat - x[None, :]
 
-    dim = kernel.table.dim
-    derivs = _eval_derivatives(f, Yflat, n, dim)
-    q = kernel.conditions.q
-    tv = np.empty((Yflat.shape[0], q, dim))
-    gamma = kernel.table.gamma
-    for m in range(q):
-        tv[:, m, :] = np.einsum(
-            "tjs,jd,sdk->tk", derivs, kernel.conditions.a[m], gamma
-        )
-    acc = _accel.volume_accumulate(
-        tv, Xflat, Wflat, kernel.solution.b, gamma, kernel.n
-    )
-    return acc, Yflat.shape[0]
+    derivs = _eval_derivatives(f, Yflat, n, kernel.table.dim)
+    tv = np.einsum("tjs,mjd,sdk->tmk", derivs, kernel.conditions.a,
+                   kernel.table.gamma, optimize=True)
+    return _volume_sum(tv, Xflat, Wflat, kernel), Yflat.shape[0]
 
 
 def verify_representation(
@@ -392,10 +467,11 @@ def derivative_via_kernel(
     """d f / d x_i from boundary values, via the pole derivative of the kernel.
 
     d/dx_i [phi_m / r^n] = (-b[m,i] r^2 + n X_i phi_m) / r^{n+2} with
-    X = y - x; the integral of f against the differentiated flux returns the
-    i-th partial derivative of f at x.  Also reports the empirical constant
-    M = R * integral of the spectral norm of right-multiplication by the
-    contracted flux, which bounds |df| by M sup|f| / R.
+    X = y - x; contracted with the normal it reads c alone (_derivative_flux),
+    and the integral of f against it returns the i-th partial derivative of
+    f at x.  Also reports the empirical constant M = R * integral of the
+    spectral norm of right-multiplication by the contracted flux, which
+    bounds |df| by M sup|f| / R.
     """
     x = np.asarray(x, dtype=float)
     if domain.n != kernel.n:
@@ -407,27 +483,18 @@ def derivative_via_kernel(
         _check_is_solution(f, kernel, x, domain)
 
     Y, nu, w = sphere_quadrature(domain, spec)
-    X = Y - x[None, :]
-    r2 = np.sum(X * X, axis=1)
     table = kernel.table
-    n, q, dim = kernel.n, kernel.conditions.q, table.dim
-    a, b = kernel.conditions.a, kernel.solution.b
     gamma = table.gamma
+    flux = _derivative_flux(Y - x[None, :], nu, i, kernel)
+    fv = _eval_function(f, Y, table.dim)
+    value = _blocked_product(
+        Y.shape[0], lambda block: (w[block, None] * fv[block]).T @ flux[block], gamma
+    )
 
-    phi = np.einsum("ti,mid->tmd", X, b)
-    dphi = (
-        -b[None, :, i, :] * r2[:, None, None]
-        + n * X[:, i, None, None] * phi
-    ) / r2[:, None, None] ** ((n + 2) / 2.0)
-    anu = np.einsum("tj,mjd->tmd", nu, a)
-    flux = np.einsum("tms,tmd,sde->te", anu, dphi, gamma)
-    fv = _eval_function(f, Y, dim)
-    value = np.einsum("t,ts,te,sek->k", w, fv, flux, gamma)
-
-    # empirical Cauchy-estimate constant
-    norms = np.empty(Y.shape[0])
-    for t in range(Y.shape[0]):
-        norms[t] = np.linalg.norm(table.right_mult_matrix(flux[t]), 2)
+    # empirical Cauchy-estimate constant: spectral norms of the matrices of
+    # right multiplication by each node's flux
+    right_mult = np.einsum("ijk,tj->tki", gamma, flux)
+    norms = np.linalg.norm(right_mult, 2, axis=(1, 2))
     M = domain.radius * float(np.sum(w * norms))
     sup_f = float(np.max(np.linalg.norm(fv, axis=1)))
     bound = M * sup_f / domain.radius

@@ -215,6 +215,8 @@ def test_ellipticity_rejects_corrupted_weights():
     ell = check_ellipticity(cond, corrupted)
     assert not ell.elliptic
     assert ell.worst_coeff > 1e-3
+    with pytest.raises(ValueError, match="different condition set"):
+        check_ellipticity(fueter_conditions(), rep.kernel)
 
 
 def test_condition_a_dbar_exact():

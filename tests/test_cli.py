@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,15 @@ from hypercauchy.families import (
 )
 
 ALPHA = 1.0 / (2.0 * np.pi**2)
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _run_cli(args, **env):
+    """Run the CLI in a child process with extra environment variables."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    child_env = {**os.environ, "PYTHONPATH": path, **env}
+    return subprocess.run([sys.executable, "-m", "hypercauchy.cli", *args],
+                          capture_output=True, env=child_env, timeout=120)
 
 
 @pytest.fixture()
@@ -192,5 +205,48 @@ def test_json_output_deterministic(runner, tmp_path):
 
 
 def test_cr_solve_tol_validation(runner):
-    result = runner.invoke(main, ["cr-solve", "fueter", "--tol", "-1"])
+    for tol in ("-1", "nan"):
+        result = runner.invoke(main, ["cr-solve", "fueter", "--tol", tol])
+        assert result.exit_code == 1
+    result = runner.invoke(main, ["reproduce", "fueter", "-f", "zeta1",
+                                  "--point", "0.1,0,0,0", "--tol", "nan"])
     assert result.exit_code == 1
+
+
+def test_cr_solve_nan_conditions_named_error(tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({"algebra": "complex", "n": 2, "q": 1,
+                                "a": [[[1.0, 0.0], [0.0, float("nan")]]]}))
+    result = _run_cli(["cr-solve", str(path)])
+    assert result.returncode == 1
+    stderr = result.stderr.decode()
+    assert "error:" in stderr and "finite" in stderr
+    assert "DLASCL" not in stderr and "SVD" not in stderr
+
+
+def test_reproduce_nan_point_fails(runner):
+    result = runner.invoke(
+        main, ["reproduce", "fueter", "-f", "zeta1", "--point", "nan,0,0,0"]
+    )
+    assert result.exit_code == 1
+    assert "non-finite" in result.output
+
+
+def test_reproduce_rule_over_node_budget_fails(runner):
+    result = runner.invoke(
+        main, ["reproduce", "fueter", "-f", "zeta1", "--point", "0.1,0,0,0",
+               "--nodes", "10000"]
+    )
+    assert result.exit_code == 1
+    assert "limit" in result.output
+
+
+@pytest.mark.parametrize("args", [
+    ["reproduce", "fueter", "-f", "zeta1", "--point", "0.1,0.2,0,0", "--nodes", "32"],
+    ["cr-solve", "m2r_q3"],
+], ids=["reproduce", "cr-solve"])
+def test_output_identical_across_blas_thread_counts(args):
+    default = _run_cli(args)
+    single = _run_cli(args, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    assert default.returncode == 0 and single.returncode == 0
+    assert default.stdout == single.stdout

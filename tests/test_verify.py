@@ -1,22 +1,31 @@
 import numpy as np
 import pytest
 
-from hypercauchy.algebra import builtin
+from hypercauchy.admissibility import CRConditionSet
+from hypercauchy.algebra import AlgebraTable, builtin
 from hypercauchy.families import dbar_conditions, fueter_conditions, gallery
 from hypercauchy.kernel import CauchyKernel
 from hypercauchy.solutions import AlgPolynomial
 from hypercauchy.verify import (
+    CHUNK,
     BallDomain,
     DerivativeReport,
     PointOutsideDomain,
     QuadratureSpec,
+    QuadratureTooLarge,
     QuadratureUnderResolved,
+    _boundary_sum,
+    _derivative_flux,
+    _volume_sum,
     boundary_reproduce,
     derivative_via_kernel,
     sphere_area,
     sphere_quadrature,
     verify_representation,
 )
+
+FEASIBLE = [case for case in gallery() if case.expected_feasible]
+PARITY_NODES = 9000  # more than two CHUNK-node blocks
 
 
 def _complex_kernel():
@@ -207,7 +216,8 @@ def test_point_outside_domain():
     K = _complex_kernel()
     f = _cubic()
     D = BallDomain(np.zeros(2), 1.0)
-    for bad in ([1.2, 0.0], [1.0, 0.0]):  # outside and exactly on the sphere
+    # outside, exactly on the sphere, and not a number
+    for bad in ([1.2, 0.0], [1.0, 0.0], [np.nan, 0.0]):
         with pytest.raises(PointOutsideDomain):
             boundary_reproduce(f, np.array(bad), D, K, QuadratureSpec(nodes=16))
 
@@ -302,3 +312,89 @@ def test_derivative_direction_validation():
             _cubic(), np.zeros(2), 5, BallDomain(np.zeros(2), 1.0), K,
             QuadratureSpec(nodes=16),
         )
+
+
+@pytest.mark.parametrize("field,build", [
+    ("gamma", lambda: AlgebraTable(np.full((2, 2, 2), np.nan))),
+    ("coefficients a", lambda: CRConditionSet(
+        builtin("complex"), 2, 1, np.array([[[1.0, 0.0], [0.0, np.inf]]]))),
+    ("coeffs", lambda: AlgPolynomial(builtin("complex"), [[0, 0]], [[np.nan, 0.0]])),
+    ("center", lambda: BallDomain(np.array([0.0, np.nan]), 1.0)),
+    ("radius", lambda: BallDomain(np.zeros(2), np.inf)),
+    ("radius", lambda: BallDomain(np.zeros(2), np.nan)),
+], ids=["gamma", "a", "coeffs", "center", "radius-inf", "radius-nan"])
+def test_non_finite_input_rejected_with_named_field(field, build):
+    with pytest.raises(ValueError, match=f"{field} must be .*finite"):
+        build()
+
+
+def test_node_budget_checked_before_allocation():
+    D = BallDomain(np.zeros(4), 1.0)
+    with pytest.raises(QuadratureTooLarge):
+        sphere_quadrature(D, QuadratureSpec(nodes=10**4))
+    # the boundary rule fits; the volume rule (angular x radial) does not
+    K = _complex_kernel()
+    with pytest.raises(QuadratureTooLarge):
+        verify_representation(
+            _cubic(), np.array([0.1, 0.0]), BallDomain(np.zeros(2), 1.0), K,
+            QuadratureSpec(nodes=16, radial_nodes=10**9),
+        )
+
+
+# -- parity with the per-node b-form sums ---------------------------------------
+
+
+def _parity_workload(case, seed):
+    C = case.build()
+    K = CauchyKernel.from_conditions(C)
+    rng = np.random.default_rng(seed)
+    nu = rng.normal(size=(PARITY_NODES, C.n))
+    nu /= np.linalg.norm(nu, axis=1, keepdims=True)
+    x = rng.normal(size=C.n)
+    X = nu - 0.4 * x / np.linalg.norm(x)  # unit sphere seen from a pole at 0.4
+    w = rng.uniform(0.5, 1.5, size=PARITY_NODES)
+    return C, K, rng, X, nu, w
+
+
+def _close(got, ref):
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("case", FEASIBLE, ids=lambda c: c.name)
+def test_boundary_sum_matches_direct_b_form_sum(case):
+    C, K, rng, X, nu, w = _parity_workload(case, seed=0)
+    table, b = C.table, K.solution.b
+    fv = rng.normal(size=(PARITY_NODES, table.dim))
+    ref = np.zeros(table.dim)
+    for t in range(PARITY_NODES):
+        flux = np.zeros(table.dim)
+        for m in range(C.q):
+            flux += table.mul_coeffs(nu[t] @ C.a[m], X[t] @ b[m])
+        ref += w[t] / (X[t] @ X[t]) ** (C.n / 2.0) * table.mul_coeffs(fv[t], flux)
+    assert PARITY_NODES > 2 * CHUNK
+    _close(_boundary_sum(fv, X, nu, w, K), ref)
+
+
+@pytest.mark.parametrize("case", FEASIBLE, ids=lambda c: c.name)
+def test_volume_sum_matches_direct_b_form_sum(case):
+    C, K, rng, X, _, w = _parity_workload(case, seed=1)
+    table, b = C.table, K.solution.b
+    tv = rng.normal(size=(PARITY_NODES, C.q, table.dim))
+    ref = np.zeros(table.dim)
+    for t in range(PARITY_NODES):
+        scale = w[t] / (X[t] @ X[t]) ** (C.n / 2.0)
+        for m in range(C.q):
+            ref += scale * table.mul_coeffs(tv[t, m], X[t] @ b[m])
+    _close(_volume_sum(tv, X, w, K), ref)
+
+
+@pytest.mark.parametrize("case", FEASIBLE, ids=lambda c: c.name)
+def test_derivative_flux_matches_b_form(case):
+    C, K, _, X, nu, _ = _parity_workload(case, seed=2)
+    b, i, n = K.solution.b, C.n - 1, C.n
+    r2 = np.sum(X * X, axis=1)[:, None, None]
+    phi = np.einsum("ti,mid->tmd", X, b)
+    dphi = (-b[None, :, i, :] * r2 + n * X[:, i, None, None] * phi) / r2 ** ((n + 2) / 2.0)
+    anu = np.einsum("tj,mjd->tmd", nu, C.a)
+    ref = np.einsum("tms,tmd,sde->te", anu, dphi, C.table.gamma)
+    _close(_derivative_flux(X, nu, i, K), ref)
