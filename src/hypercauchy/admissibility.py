@@ -166,10 +166,8 @@ class KernelSolution:
 
     def condition_violation(self) -> float:
         """Max bilinear-constraint residual of these weights, read off c."""
-        defect = self.c + self.c.transpose(1, 0, 2)
-        diag = np.arange(self.n)
-        defect[diag, diag] = self.c[diag, diag]
-        defect[diag, diag, 0] -= 1.0 / self.n
+        target = _diagonal_coupling(self.n, self.table.dim, 1.0 / self.n)
+        defect = _constraint_rows(self.c - target)
         return float(np.max(np.abs(defect))) / ball_volume(self.n)
 
 
@@ -190,37 +188,50 @@ class AdmissibilityReport:
         }
 
 
+def _constraint_rows(coupling: np.ndarray) -> np.ndarray:
+    """The bilinear constraints' left-hand sides, read off a coupling.
+
+    coupling has shape (n, n, ...); the result has one row per variable pair
+    i <= j in lexicographic order: coupling[i, i] on the diagonal and
+    coupling[j, i] + coupling[i, j] off it.  With c[j, i] = Vol(B_n) *
+    sum_m a[m, j] * b[m, i], the constraints say these rows of c equal those
+    of _diagonal_coupling(n, dim, 1/n).
+    """
+    var = np.arange(coupling.shape[0])
+    i, j = np.nonzero(var[:, None] <= var)
+    rows = coupling[j, i] + coupling[i, j]
+    rows[i == j] = coupling[var, var]
+    return rows
+
+
+def _diagonal_coupling(n: int, dim: int, value: float) -> np.ndarray:
+    """The (n, n, dim) coupling with value * e_0 on the diagonal, 0 off it."""
+    coupling = np.zeros((n, n, dim))
+    coupling[np.arange(n), np.arange(n), 0] = value
+    return coupling
+
+
 def assemble_system(conditions: CRConditionSet) -> tuple[np.ndarray, np.ndarray]:
     """Real linear system A x = r for the flattened kernel weights.
 
     Unknown layout: x[(m*n + i)*dim + s] is component s of b[m, i].
-    Rows come in blocks of dim, one block per unordered variable pair
-    (i, j) with i <= j in lexicographic order.
+    Rows are the _constraint_rows of c / Vol(B_n), dim per variable pair.
+    Column block k (the weights b[:, k]) is built from the coupling that
+    b[:, k] alone produces, c[j, k] / Vol = sum_m a[m, j] * b[m, k]; r is
+    the rows of the target coupling kappa e_0 on the diagonal.
     """
     table = conditions.table
     n, q, dim = conditions.n, conditions.q, table.dim
-    kappa = conditions.normalization
-    rows = conditions.equation_count()
-    cols = conditions.unknown_count()
-    A = np.zeros((rows, cols))
-    r = np.zeros(rows)
-
-    def col_slice(m: int, i: int) -> slice:
-        start = (m * n + i) * dim
-        return slice(start, start + dim)
-
-    block = 0
-    for i in range(n):
-        for j in range(i, n):
-            rs = slice(block * dim, (block + 1) * dim)
-            for m in range(q):
-                A[rs, col_slice(m, i)] += table.left_mult_matrix(conditions.a[m, j])
-                if i != j:
-                    A[rs, col_slice(m, j)] += table.left_mult_matrix(conditions.a[m, i])
-            if i == j:
-                r[block * dim] = kappa
-            block += 1
-    return A, r
+    # left[j, :, m, :] is the matrix of b[m, k] -> a[m, j] * b[m, k]
+    left = np.array([[table.left_mult_matrix(conditions.a[m, j]) for m in range(q)]
+                     for j in range(n)]).transpose(0, 2, 1, 3)
+    A = np.zeros((conditions.equation_count(), q, n, dim))
+    for k in range(n):
+        coupling = np.zeros((n, n, dim, q, dim))
+        coupling[:, k] = left
+        A[:, :, k, :] += _constraint_rows(coupling).reshape(-1, q, dim)
+    r = _constraint_rows(_diagonal_coupling(n, dim, conditions.normalization))
+    return A.reshape(r.size, -1), r.ravel()
 
 
 def solve_admissibility(
@@ -478,12 +489,10 @@ def commutative_condition_A(
     if not feasible:
         return CommutativeAReport(False, residual, rows, None, None)
 
-    # coupling matrix: principal block is (e_0/n) * identity
-    e0_over_n = np.zeros(dim)
-    e0_over_n[0] = 1.0 / n
-    c = np.zeros((n, n, dim))
-    for rp in rows:
-        c[rp, rp] = e0_over_n
+    # coupling matrix: principal block is (e_0/n) * identity; every entry
+    # in a non-principal row or column is derived below
+    e0_over_n = _diagonal_coupling(n, dim, 1.0 / n)
+    c = e0_over_n.copy()
 
     def derived_row(k: int, target: int) -> np.ndarray:
         acc = np.zeros(dim)
@@ -500,12 +509,7 @@ def commutative_condition_A(
         for w in nonprincipal:
             c[v, w] = derived_row(k, w)
 
-    consistency = 0.0
-    for k, v in enumerate(nonprincipal):
-        consistency = max(consistency, float(np.linalg.norm(c[v, v] - e0_over_n)))
-        for w in nonprincipal:
-            if w != v:
-                consistency = max(consistency, float(np.linalg.norm(c[v, w] + c[w, v])))
+    consistency = float(np.max(np.linalg.norm(_constraint_rows(c - e0_over_n), axis=1)))
 
     # kernel weights by Cramer: for each target variable i solve
     #   sum_m P[p, m] * b[m, i] = c[r_p, i] / Vol

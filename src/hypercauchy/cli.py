@@ -17,14 +17,7 @@ import click
 import numpy as np
 
 from .admissibility import load_conditions, solve_admissibility
-from .algebra import (
-    BUILTIN_NAMES,
-    check_associative,
-    check_commutative,
-    load_algebra,
-    sum_of_basis_squares,
-    validate_unit,
-)
+from .algebra import BUILTIN_NAMES, load_algebra, sum_of_basis_squares
 from .families import gallery
 from .kernel import CauchyKernel
 from .solutions import NAMED_SOLUTIONS, AlgPolynomial, named_solution
@@ -141,14 +134,14 @@ def inspect(algebra: str, out: str | None, fmt: str) -> None:
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         _fail(f"could not load algebra {algebra!r}: {exc}")
     squares = sum_of_basis_squares(table)
-    assoc_viol = check_associative(table)
+    assoc_viol = table.associativity_violation
     report = {
         "algebra": algebra,
         "dim": table.dim,
-        "unit_ok": bool(validate_unit(table)),
+        "unit_ok": bool(table.unital_validated),
         "associativity_violation": assoc_viol,
         "associative": bool(table.associative),
-        "commutative": bool(check_commutative(table)),
+        "commutative": bool(table.commutative),
         "sum_basis_squares": squares.coeffs.tolist(),
         "sum_basis_squares_zero": bool(squares.is_zero()),
     }

@@ -105,10 +105,15 @@ class AlgPolynomial:
     def eval_batch(self, X) -> np.ndarray:
         """Values at many points: X (N, n) -> (N, dim)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        if X.ndim != 2 or X.shape[1] != self.n:
+            raise ValueError(f"points have shape {X.shape} but the polynomial "
+                             f"has {self.n} variables")
         mono = np.prod(X[:, None, :] ** self.exponents[None, :, :], axis=2)
         return mono @ self.coeffs
 
     def partial_derivative(self, j: int) -> AlgPolynomial:
+        if not 0 <= j < self.n:
+            raise ValueError(f"no variable {j}: the polynomial has {self.n} variables")
         mask = self.exponents[:, j] > 0
         if not mask.any():
             return AlgPolynomial.constant(self.table, self.n,
@@ -159,37 +164,55 @@ class AlgPolynomial:
         return out.ravel()
 
 
+def _eval_function(f, Y: np.ndarray, dim: int) -> np.ndarray:
+    """Values of f at the rows of Y: (N, dim).
+
+    Objects with eval_batch (AlgPolynomial among them) are evaluated in one
+    call; any other callable is called once per node and may return a
+    coefficient vector or an AlgElem.
+    """
+    if hasattr(f, "eval_batch"):
+        return np.asarray(f.eval_batch(Y), dtype=float)
+    out = np.empty((Y.shape[0], dim))
+    for t in range(Y.shape[0]):
+        v = f(Y[t])
+        out[t] = v.coeffs if isinstance(v, AlgElem) else np.asarray(v, dtype=float)
+    return out
+
+
+def condition_values(
+    conditions: CRConditionSet,
+    f,
+    Y,
+    h: float = DEFAULT_FD_STEP,
+) -> np.ndarray:
+    """The q condition values sum_j (df/dy_j) * a[m, j] at each row of Y.
+
+    Returns (N, q, dim).  Exact derivatives for AlgPolynomial; central
+    differences of step h (order h^2) of _eval_function otherwise.
+    """
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    n, dim = conditions.n, conditions.table.dim
+    if isinstance(f, AlgPolynomial):
+        derivs = [f.partial_derivative(j).eval_batch(Y) for j in range(n)]
+    else:
+        step = h * np.eye(n)
+        derivs = [(_eval_function(f, Y + step[j], dim)
+                   - _eval_function(f, Y - step[j], dim)) / (2.0 * h)
+                  for j in range(n)]
+    return np.einsum("tjs,mjd,sdk->tmk", np.stack(derivs, axis=1), conditions.a,
+                     conditions.table.gamma, optimize=True)
+
+
 def apply_cr_operator(
     conditions: CRConditionSet,
     f: AlgPolynomial | Callable[[np.ndarray], np.ndarray],
     x,
     h: float = DEFAULT_FD_STEP,
 ) -> list[AlgElem]:
-    """The q condition values sum_j (df/dx_j) * a[m, j] at x.
-
-    Exact derivatives for AlgPolynomial; central differences of step h
-    (order h^2) for callables returning coefficient vectors.
-    """
-    x = np.asarray(x, dtype=float)
-    table, n, q = conditions.table, conditions.n, conditions.q
-    derivs = np.zeros((n, table.dim))
-    if isinstance(f, AlgPolynomial):
-        for j in range(n):
-            derivs[j] = f.partial_derivative(j).evaluate(x).coeffs
-    else:
-        for j in range(n):
-            step = np.zeros(n)
-            step[j] = h
-            fp = np.asarray(f(x + step), dtype=float)
-            fm = np.asarray(f(x - step), dtype=float)
-            derivs[j] = (fp - fm) / (2.0 * h)
-    out = []
-    for m in range(q):
-        acc = np.zeros(table.dim)
-        for j in range(n):
-            acc += table.mul_coeffs(derivs[j], conditions.a[m, j])
-        out.append(AlgElem(table, acc))
-    return out
+    """The q condition values at the single point x (see condition_values)."""
+    values = condition_values(conditions, f, np.reshape(x, (1, -1)), h)
+    return [AlgElem(conditions.table, t) for t in values[0]]
 
 
 @dataclass(frozen=True)
@@ -213,12 +236,8 @@ class PolySolutionBasis:
         """Largest |condition value| over basis elements at random points."""
         rng = np.random.default_rng(seed)
         pts = rng.normal(size=(samples, self.conditions.n))
-        worst = 0.0
-        for f in self.basis:
-            for x in pts:
-                for t in apply_cr_operator(self.conditions, f, x):
-                    worst = max(worst, t.norm())
-        return worst
+        values = [condition_values(self.conditions, f, pts) for f in self.basis]
+        return float(np.max(np.linalg.norm(values, axis=-1), initial=0.0))
 
     def contains(self, f: AlgPolynomial, tol: float = 1e-10) -> bool:
         """Whether f lies in the span of the basis (coefficient projection)."""

@@ -28,7 +28,7 @@ import numpy as np
 
 from .algebra import AlgElem, ball_volume
 from .kernel import CauchyKernel
-from .solutions import AlgPolynomial, apply_cr_operator
+from .solutions import _eval_function, condition_values
 
 MIN_NODES = 8
 MAX_QUADRATURE_NODES = 2**22
@@ -217,58 +217,30 @@ def sphere_quadrature(domain: BallDomain, spec: QuadratureSpec):
     return Y, omega, w * domain.radius ** (n - 1)
 
 
-def _eval_function(f, Y: np.ndarray, dim: int) -> np.ndarray:
-    if isinstance(f, AlgPolynomial) or hasattr(f, "eval_batch"):
-        return np.asarray(f.eval_batch(Y), dtype=float)
-    out = np.empty((Y.shape[0], dim))
-    for t in range(Y.shape[0]):
-        v = f(Y[t])
-        out[t] = v.coeffs if isinstance(v, AlgElem) else np.asarray(v, dtype=float)
-    return out
-
-
-def _eval_derivatives(f, Y: np.ndarray, n: int, dim: int,
-                      h: float = 1e-5) -> np.ndarray:
-    """df/dy_j at each node: (N, n, dim); exact on polynomials."""
-    out = np.empty((Y.shape[0], n, dim))
-    if isinstance(f, AlgPolynomial):
-        for j in range(n):
-            out[:, j, :] = f.partial_derivative(j).eval_batch(Y)
-        return out
-    for j in range(n):
-        step = np.zeros(n)
-        step[j] = h
-        fp = _eval_function(f, Y + step, dim)
-        fm = _eval_function(f, Y - step, dim)
-        out[:, j, :] = (fp - fm) / (2.0 * h)
-    return out
-
-
-def _require_inside(x: np.ndarray, domain: BallDomain) -> None:
+def _inside_point(x, domain: BallDomain, kernel: CauchyKernel) -> np.ndarray:
+    """x as a float vector, checked against the kernel and strictly inside."""
+    x = np.asarray(x, dtype=float)
+    if domain.n != kernel.n:
+        raise ValueError("domain dimension does not match the kernel")
+    if x.shape != (kernel.n,):
+        raise ValueError(f"point x has shape {x.shape} but the kernel has "
+                         f"{kernel.n} variables")
     dist = float(np.linalg.norm(x - domain.center))
     if not dist < domain.radius:
         raise PointOutsideDomain(
             f"point at distance {dist:.6g} from center; radius {domain.radius:.6g}"
         )
+    return x
 
 
 def _check_is_solution(f, kernel: CauchyKernel, x: np.ndarray,
                        domain: BallDomain) -> None:
     gap = domain.radius - float(np.linalg.norm(x - domain.center))
-    delta = 0.25 * gap
-    C = kernel.conditions
-    pts = [x]
-    for j in range(C.n):
-        step = np.zeros(C.n)
-        step[j] = delta
-        pts.extend([x + step, x - step])
-    scale = 1.0
-    worst = 0.0
-    for p in pts:
-        fv = _eval_function(f, p[None, :], kernel.table.dim)[0]
-        scale = max(scale, float(np.max(np.abs(fv))))
-        for t in apply_cr_operator(C, f, p):
-            worst = max(worst, t.norm())
+    steps = 0.25 * gap * np.eye(kernel.n)
+    pts = np.vstack([x, x + steps, x - steps])
+    scale = max(1.0, float(np.max(np.abs(_eval_function(f, pts, kernel.table.dim)))))
+    values = condition_values(kernel.conditions, f, pts)
+    worst = float(np.max(np.linalg.norm(values, axis=2)))
     if worst > 1e-4 * scale:
         raise ValueError(
             f"f violates the Cauchy conditions near x (defect {worst:.3e}); "
@@ -339,6 +311,34 @@ def _boundary_term(f, x, domain, kernel, spec) -> tuple[np.ndarray, int]:
     return _boundary_sum(fv, Y - x[None, :], nu, w, kernel), Y.shape[0]
 
 
+def _reproduction_report(f, x, kernel, spec, term,
+                         target_error) -> ReproductionReport:
+    """Compare term(spec) with f(x).
+
+    term(spec) returns the quadrature value and its node count; with
+    target_error set, term is rerun on the partner rule and
+    QuadratureUnderResolved is raised when the two differ by more.
+    """
+    acc, used = term(spec)
+    if target_error is not None:
+        partner, _ = term(_partner_spec(spec))
+        estimate = float(np.linalg.norm(acc - partner))
+        if estimate > target_error:
+            raise QuadratureUnderResolved(
+                f"error estimate {estimate:.3e} exceeds target {target_error:.3e}"
+            )
+    expected = _eval_function(f, x[None, :], kernel.table.dim)[0]
+    abs_err = float(np.linalg.norm(acc - expected))
+    rel_err = abs_err / max(float(np.linalg.norm(expected)), 1e-300)
+    return ReproductionReport(
+        computed=AlgElem(kernel.table, acc),
+        expected=AlgElem(kernel.table, expected),
+        abs_error=abs_err,
+        rel_error=rel_err,
+        nodes=used,
+    )
+
+
 def boundary_reproduce(
     f,
     x,
@@ -355,29 +355,12 @@ def boundary_reproduce(
     half-resolution error estimate and raises QuadratureUnderResolved when
     the estimate exceeds it.
     """
-    x = np.asarray(x, dtype=float)
-    if domain.n != kernel.n:
-        raise ValueError("domain dimension does not match the kernel")
-    _require_inside(x, domain)
+    x = _inside_point(x, domain, kernel)
     if check_solution:
         _check_is_solution(f, kernel, x, domain)
-    acc, used = _boundary_term(f, x, domain, kernel, spec)
-    if target_error is not None:
-        coarse, _ = _boundary_term(f, x, domain, kernel, _partner_spec(spec))
-        estimate = float(np.linalg.norm(acc - coarse))
-        if estimate > target_error:
-            raise QuadratureUnderResolved(
-                f"error estimate {estimate:.3e} exceeds target {target_error:.3e}"
-            )
-    expected = _eval_function(f, x[None, :], kernel.table.dim)[0]
-    abs_err = float(np.linalg.norm(acc - expected))
-    rel_err = abs_err / max(float(np.linalg.norm(expected)), 1e-300)
-    return ReproductionReport(
-        computed=AlgElem(kernel.table, acc),
-        expected=AlgElem(kernel.table, expected),
-        abs_error=abs_err,
-        rel_error=rel_err,
-        nodes=used,
+    return _reproduction_report(
+        f, x, kernel, spec,
+        lambda s: _boundary_term(f, x, domain, kernel, s), target_error,
     )
 
 
@@ -408,9 +391,7 @@ def _volume_term(f, x, domain, kernel, spec) -> tuple[np.ndarray, int]:
     Wflat = W.ravel()
     Xflat = Yflat - x[None, :]
 
-    derivs = _eval_derivatives(f, Yflat, n, kernel.table.dim)
-    tv = np.einsum("tjs,mjd,sdk->tmk", derivs, kernel.conditions.a,
-                   kernel.table.gamma, optimize=True)
+    tv = condition_values(kernel.conditions, f, Yflat)
     return _volume_sum(tv, Xflat, Wflat, kernel), Yflat.shape[0]
 
 
@@ -427,32 +408,14 @@ def verify_representation(
     The volume integrand carries the condition defect t_m of f, so the
     difference reproduces f(x) without f being a solution.
     """
-    x = np.asarray(x, dtype=float)
-    if domain.n != kernel.n:
-        raise ValueError("domain dimension does not match the kernel")
-    _require_inside(x, domain)
-    bnd, used_b = _boundary_term(f, x, domain, kernel, spec)
-    vol, used_v = _volume_term(f, x, domain, kernel, spec)
-    acc = bnd - vol
-    if target_error is not None:
-        half = _partner_spec(spec)
-        bnd2, _ = _boundary_term(f, x, domain, kernel, half)
-        vol2, _ = _volume_term(f, x, domain, kernel, half)
-        estimate = float(np.linalg.norm(acc - (bnd2 - vol2)))
-        if estimate > target_error:
-            raise QuadratureUnderResolved(
-                f"error estimate {estimate:.3e} exceeds target {target_error:.3e}"
-            )
-    expected = _eval_function(f, x[None, :], kernel.table.dim)[0]
-    abs_err = float(np.linalg.norm(acc - expected))
-    rel_err = abs_err / max(float(np.linalg.norm(expected)), 1e-300)
-    return ReproductionReport(
-        computed=AlgElem(kernel.table, acc),
-        expected=AlgElem(kernel.table, expected),
-        abs_error=abs_err,
-        rel_error=rel_err,
-        nodes=used_b + used_v,
-    )
+    x = _inside_point(x, domain, kernel)
+
+    def term(s: QuadratureSpec) -> tuple[np.ndarray, int]:
+        bnd, used_b = _boundary_term(f, x, domain, kernel, s)
+        vol, used_v = _volume_term(f, x, domain, kernel, s)
+        return bnd - vol, used_b + used_v
+
+    return _reproduction_report(f, x, kernel, spec, term, target_error)
 
 
 def derivative_via_kernel(
@@ -473,12 +436,9 @@ def derivative_via_kernel(
     spectral norm of right-multiplication by the contracted flux, which
     bounds |df| by M sup|f| / R.
     """
-    x = np.asarray(x, dtype=float)
-    if domain.n != kernel.n:
-        raise ValueError("domain dimension does not match the kernel")
     if not 0 <= i < kernel.n:
         raise ValueError("derivative direction out of range")
-    _require_inside(x, domain)
+    x = _inside_point(x, domain, kernel)
     if check_solution:
         _check_is_solution(f, kernel, x, domain)
 

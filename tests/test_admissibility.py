@@ -389,3 +389,78 @@ def test_infeasibility_invariant_under_relabeling(perm):
     a = base.a[:, list(perm)]
     rep = solve_admissibility(CRConditionSet(base.table, 4, 1, a))
     assert not rep.feasible
+
+
+# -- parity with the per-pair assembly loop -------------------------------------
+
+
+def _assemble_system_per_pair(conditions):
+    """The per-pair, per-condition assembly loop the row map replaced."""
+    table = conditions.table
+    n, q, dim = conditions.n, conditions.q, table.dim
+    A = np.zeros((conditions.equation_count(), conditions.unknown_count()))
+    r = np.zeros(conditions.equation_count())
+
+    def col_slice(m, i):
+        start = (m * n + i) * dim
+        return slice(start, start + dim)
+
+    block = 0
+    for i in range(n):
+        for j in range(i, n):
+            rs = slice(block * dim, (block + 1) * dim)
+            for m in range(q):
+                A[rs, col_slice(m, i)] += table.left_mult_matrix(conditions.a[m, j])
+                if i != j:
+                    A[rs, col_slice(m, j)] += table.left_mult_matrix(conditions.a[m, i])
+            if i == j:
+                r[block * dim] = conditions.normalization
+            block += 1
+    return A, r
+
+
+def _dim3_draws(count=40, seed=5):
+    rng = np.random.default_rng(seed)
+    return [random_invertible_single_condition(
+                sample_dim3_table(rng, commutative=(k % 2 == 0)), 3, rng)
+            for k in range(count)]
+
+
+@pytest.mark.parametrize("case", gallery(), ids=lambda c: c.name)
+def test_assemble_system_matches_per_pair_loop_on_gallery(case):
+    C = case.build()
+    A, r = assemble_system(C)
+    A_ref, r_ref = _assemble_system_per_pair(C)
+    assert np.array_equal(A, A_ref)
+    assert np.array_equal(r, r_ref)
+
+
+def test_assemble_system_matches_per_pair_loop_on_dim3_draws():
+    for C in _dim3_draws():
+        A, r = assemble_system(C)
+        A_ref, r_ref = _assemble_system_per_pair(C)
+        assert np.array_equal(A, A_ref)
+        assert np.array_equal(r, r_ref)
+
+
+@pytest.mark.parametrize("case", gallery(), ids=lambda c: c.name)
+def test_system_residual_is_the_constraint_rows_of_c(case):
+    # A x - r, pair block (i, j), is c[i, i] / Vol - kappa e_0 on the diagonal
+    # and (c[j, i] + c[i, j]) / Vol off it, for the coupling c that x defines
+    C = case.build()
+    A, r = assemble_system(C)
+    x = np.random.default_rng(9).normal(size=C.unknown_count())
+    K = KernelSolution.from_b(C, x)
+    vol, e0_over_n = ball_volume(C.n), np.eye(C.table.dim)[0] / C.n
+    expected = []
+    for i in range(C.n):
+        for j in range(i, C.n):
+            if i == j:
+                expected.append(K.c[i, i] - e0_over_n)
+            else:
+                expected.append(K.c[j, i] + K.c[i, j])
+    expected = np.concatenate(expected) / vol
+    got = A @ x - r
+    np.testing.assert_allclose(got, expected, rtol=1e-12,
+                               atol=1e-12 * np.abs(expected).max())
+    assert K.condition_violation() == pytest.approx(np.abs(got).max(), rel=1e-12)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -156,6 +157,22 @@ def test_reproduce_polynomial_file(runner, tmp_path):
     assert result.exit_code == 0
     report = _json_payload(result)["report"]
     np.testing.assert_allclose(report["computed"], [0.2, -0.3], atol=1e-12)
+
+
+@pytest.mark.parametrize("width", [3, 5])
+def test_reproduce_polynomial_file_of_wrong_width_named(runner, tmp_path, width):
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps({
+        "exponents": [[1] + [0] * (width - 1)],
+        "coeffs": [[1.0, 0.0, 0.0, 0.0]],
+    }))
+    result = runner.invoke(
+        main, ["reproduce", "fueter", "-f", str(poly), "--point", "0.1,0,0,0"]
+    )
+    assert result.exit_code == 1
+    assert re.search(rf"shape \(\d+, 4\) but the polynomial has {width} variables",
+                     result.output)
+    assert "broadcast" not in result.output
 
 
 def test_reproduce_point_outside_fails(runner):

@@ -5,8 +5,10 @@ from hypercauchy.admissibility import CRConditionSet
 from hypercauchy.algebra import AlgElem, builtin
 from hypercauchy.families import dbar_conditions, fueter_conditions, gallery
 from hypercauchy.solutions import (
+    DEFAULT_FD_STEP,
     AlgPolynomial,
     apply_cr_operator,
+    condition_values,
     monomial_exponents,
     polynomial_solution_basis,
 )
@@ -159,3 +161,61 @@ def test_basis_elements_satisfy_conditions_at_random_points():
 def test_degree_cap_enforced():
     with pytest.raises(ValueError):
         polynomial_solution_basis(dbar_conditions(), 7)
+
+
+def test_eval_batch_names_width_mismatch():
+    p = AlgPolynomial(builtin("quaternion"), [[1, 0, 0]], [[1.0, 0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match=r"shape \(2, 4\) but the polynomial has 3"):
+        p.eval_batch(np.zeros((2, 4)))
+    with pytest.raises(ValueError, match=r"shape \(1, 2, 3\)"):
+        p.eval_batch(np.zeros((1, 2, 3)))
+    with pytest.raises(ValueError, match="3 variables"):
+        apply_cr_operator(fueter_conditions(), p, np.zeros(4))
+
+
+# -- parity with the per-point condition operator -------------------------------
+
+
+def _apply_cr_operator_per_point(conditions, f, x, h=DEFAULT_FD_STEP):
+    """The per-point operator condition_values replaced: (q, dim) at x."""
+    table, n, q = conditions.table, conditions.n, conditions.q
+    derivs = np.zeros((n, table.dim))
+    for j in range(n):
+        if isinstance(f, AlgPolynomial):
+            derivs[j] = f.partial_derivative(j).evaluate(x).coeffs
+        else:
+            step = np.zeros(n)
+            step[j] = h
+            derivs[j] = (np.asarray(f(x + step)) - np.asarray(f(x - step))) / (2.0 * h)
+    out = np.zeros((q, table.dim))
+    for m in range(q):
+        for j in range(n):
+            out[m] += table.mul_coeffs(derivs[j], conditions.a[m, j])
+    return out
+
+
+def _random_polynomial(table, n, degree, rng):
+    layout = monomial_exponents(n, degree)
+    return AlgPolynomial(table, layout, rng.normal(size=(len(layout), table.dim)))
+
+
+@pytest.mark.parametrize("case", gallery(), ids=lambda c: c.name)
+def test_condition_values_match_per_point_operator(case):
+    C = case.build()
+    rng = np.random.default_rng(6)
+    degree = 2 if C.n <= 4 else 1
+    basis = polynomial_solution_basis(C, degree).basis
+    basis = basis[:: max(1, len(basis) // 12)]  # at most ~12, spread out
+    generic = _random_polynomial(C.table, C.n, degree, rng)
+    Y = rng.normal(size=(7, C.n))
+    for f in [*basis, generic]:
+        got = condition_values(C, f, Y)
+        ref = np.stack([_apply_cr_operator_per_point(C, f, y) for y in Y])
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+        single = np.stack([[t.coeffs for t in apply_cr_operator(C, f, y)] for y in Y])
+        np.testing.assert_allclose(single, ref, rtol=1e-12, atol=1e-12)
+    # callables take central differences, node by node
+    smooth = lambda y: np.tanh(generic.evaluate(y).coeffs)  # noqa: E731
+    got = condition_values(C, smooth, Y)
+    ref = np.stack([_apply_cr_operator_per_point(C, smooth, y) for y in Y])
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())

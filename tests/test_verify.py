@@ -5,7 +5,7 @@ from hypercauchy.admissibility import CRConditionSet
 from hypercauchy.algebra import AlgebraTable, builtin
 from hypercauchy.families import dbar_conditions, fueter_conditions, gallery
 from hypercauchy.kernel import CauchyKernel
-from hypercauchy.solutions import AlgPolynomial
+from hypercauchy.solutions import AlgPolynomial, apply_cr_operator
 from hypercauchy.verify import (
     CHUNK,
     BallDomain,
@@ -312,6 +312,40 @@ def test_derivative_direction_validation():
             _cubic(), np.zeros(2), 5, BallDomain(np.zeros(2), 1.0), K,
             QuadratureSpec(nodes=16),
         )
+
+
+def test_callable_returning_alg_elem_is_evaluated():
+    # the default check_solution path and the operator share one f protocol
+    K = _fueter_kernel()
+    p = _zeta1()
+    f = lambda y: p.evaluate(y)  # noqa: E731
+    x = np.array([0.1, 0.2, -0.1, 0.3])
+    D = BallDomain(np.zeros(4), 1.0)
+    spec = QuadratureSpec(nodes=12)
+    got = boundary_reproduce(f, x, D, K, spec)
+    ref = boundary_reproduce(p, x, D, K, spec)
+    np.testing.assert_allclose(got.computed.coeffs, ref.computed.coeffs, atol=1e-14)
+    assert got.rel_error == pytest.approx(ref.rel_error, rel=1e-9)
+    got = derivative_via_kernel(f, x, 1, D, K, spec)
+    ref = derivative_via_kernel(p, x, 1, D, K, spec)
+    np.testing.assert_allclose(got.value.coeffs, ref.value.coeffs, atol=1e-14)
+    for t_f, t_p in zip(apply_cr_operator(K.conditions, f, x),
+                        apply_cr_operator(K.conditions, p, x)):
+        np.testing.assert_allclose(t_f.coeffs, t_p.coeffs, atol=1e-8)
+
+
+def test_wrong_length_point_rejected_by_name():
+    K = _fueter_kernel()
+    D = BallDomain(np.zeros(4), 1.0)
+    spec = QuadratureSpec(nodes=8)
+    for x in (np.zeros(3), np.zeros(5)):
+        for call in (
+            lambda: boundary_reproduce(_zeta1(), x, D, K, spec),
+            lambda: verify_representation(_zeta1(), x, D, K, spec),
+            lambda: derivative_via_kernel(_zeta1(), x, 0, D, K, spec),
+        ):
+            with pytest.raises(ValueError, match="point x has shape .* 4 variables"):
+                call()
 
 
 @pytest.mark.parametrize("field,build", [
