@@ -100,9 +100,6 @@ class CRConditionSet:
         arr.setflags(write=False)
         object.__setattr__(self, "a", arr)
 
-    def coefficient(self, m: int, j: int) -> AlgElem:
-        return AlgElem(self.table, self.a[m, j].copy())
-
     @property
     def normalization(self) -> float:
         """kappa = 1/(n * Vol(B_n))."""
@@ -115,54 +112,68 @@ class CRConditionSet:
         return self.n * (self.n + 1) // 2 * self.table.dim
 
 
-@dataclass(frozen=True)
-class KernelSolution:
-    """Kernel weights b[m, i] plus the coupling c[j, i] they determine.
+KERNEL_RESIDUAL_CEILING = 1e-6
 
-    c[j, i] = Vol(B_n) * sum_m a[m, j] * b[m, i] is computed on construction,
-    so it always agrees with b.  The bilinear constraints say exactly that
-    the diagonal of c equals e_0/n and that c is antisymmetric off it.
+
+@dataclass(frozen=True)
+class CauchyKernel:
+    """A condition set with kernel weights b[m, i] and the coupling they fix.
+
+    c[j, i] = Vol(B_n) * sum_m a[m, j] * b[m, i] is computed on construction
+    from a read-only copy of b, so it always agrees with b.  The bilinear constraints say exactly that
+    the diagonal of c equals e_0/n and that c is antisymmetric off it.  The
+    plain constructor does not check them (the solvers use it); from_b does.
     """
 
-    table: AlgebraTable
-    n: int
-    q: int
-    a: np.ndarray = field(repr=False)
+    conditions: CRConditionSet
     b: np.ndarray = field(repr=False)
-    normalization: float
-    residual: float
-    nullity: int
     c: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        c = ball_volume(self.n) * np.einsum("mjs,mid,sde->jie", self.a, self.b,
-                                            self.table.gamma)
+        C = self.conditions
+        shape = (C.q, C.n, C.table.dim)
+        b = np.array(self.b, dtype=float)
+        if b.size != C.unknown_count():
+            raise ValueError(f"kernel weights b have {b.size} entries but the "
+                             f"conditions need shape {shape}")
+        b = b.reshape(shape)
+        c = ball_volume(C.n) * np.einsum("mjs,mid,sde->jie", C.a, b, C.table.gamma)
+        b.setflags(write=False)
+        c.setflags(write=False)
+        object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
 
+    @property
+    def n(self) -> int:
+        return self.conditions.n
+
+    @property
+    def table(self) -> AlgebraTable:
+        return self.conditions.table
+
     @classmethod
-    def from_b(
-        cls,
-        conditions: CRConditionSet,
-        b: np.ndarray,
-        residual: float = 0.0,
-        nullity: int = 0,
-    ) -> KernelSolution:
-        n, q = conditions.n, conditions.q
-        b = np.asarray(b, dtype=float).reshape(q, n, conditions.table.dim)
-        return cls(
-            table=conditions.table, n=n, q=q, a=conditions.a, b=b,
-            normalization=conditions.normalization,
-            residual=residual, nullity=nullity,
-        )
+    def from_conditions(cls, conditions: CRConditionSet,
+                        tol: float = DEFAULT_TOL) -> CauchyKernel:
+        """Solve the admissibility system for the kernel; error if infeasible."""
+        report = solve_admissibility(conditions, tol=tol)
+        if not report.feasible:
+            raise ValueError(
+                f"conditions are not admissible (residual {report.residual:.3e}); "
+                "no reproducing kernel exists"
+            )
+        return report.kernel
 
-    def b_elem(self, m: int, i: int) -> AlgElem:
-        return AlgElem(self.table, self.b[m, i].copy())
-
-    def c_elem(self, j: int, i: int) -> AlgElem:
-        return AlgElem(self.table, self.c[j, i].copy())
-
-    def conditions(self) -> CRConditionSet:
-        return CRConditionSet(self.table, self.n, self.q, self.a)
+    @classmethod
+    def from_b(cls, conditions: CRConditionSet, b: np.ndarray) -> CauchyKernel:
+        """The kernel of weights from outside the solvers, checked against the
+        bilinear constraints."""
+        kernel = cls(conditions, b)
+        viol = kernel.condition_violation()
+        if not viol <= KERNEL_RESIDUAL_CEILING:  # NaN weights fail too
+            raise ValueError(
+                f"kernel weights violate the bilinear constraints by {viol:.3e}"
+            )
+        return kernel
 
     def condition_violation(self) -> float:
         """Max bilinear-constraint residual of these weights, read off c."""
@@ -176,7 +187,7 @@ class AdmissibilityReport:
     feasible: bool
     residual: float
     free_dim: int
-    kernel: KernelSolution | None
+    kernel: CauchyKernel | None
 
     def to_dict(self) -> dict:
         return {
@@ -263,10 +274,7 @@ def solve_admissibility(
         raise IllConditioned(residual, tol, ill_ceiling)
 
     feasible = residual <= tol
-    kernel = None
-    if feasible:
-        b = x.reshape(conditions.q, conditions.n, conditions.table.dim)
-        kernel = KernelSolution.from_b(conditions, b, residual=residual, nullity=free_dim)
+    kernel = CauchyKernel(conditions, x) if feasible else None
     return AdmissibilityReport(feasible=feasible, residual=residual,
                                free_dim=free_dim, kernel=kernel)
 
@@ -337,8 +345,7 @@ class EllipticityReport:
 
 
 def check_ellipticity(
-    conditions: CRConditionSet,
-    kernel: KernelSolution,
+    kernel: CauchyKernel,
     samples: int = 128,
     seed: int = 0,
     tol: float = DEFAULT_TOL,
@@ -351,8 +358,9 @@ def check_ellipticity(
     minimum of sum_m |P_m(X)|^2 over sampled unit vectors X, which must stay
     positive for elliptic conditions.
     """
-    if not np.array_equal(kernel.a, conditions.a):
-        raise ValueError("kernel was built for a different condition set")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    conditions = kernel.conditions
     worst = kernel.condition_violation()
 
     rng = np.random.default_rng(seed)
@@ -398,7 +406,7 @@ class CommutativeAReport:
     feasible: bool
     residual: float
     principal_rows: tuple[int, ...]
-    kernel: KernelSolution | None
+    kernel: CauchyKernel | None
     c_consistency: float | None
 
 
@@ -523,7 +531,7 @@ def commutative_condition_A(
             det = algebra_determinant(table, M)
             b[m, i] = table.mul_coeffs(D0_inv.coeffs, det) / vol
 
-    kernel = KernelSolution.from_b(conditions, b, residual=residual, nullity=0)
+    kernel = CauchyKernel(conditions, b)
     consistency = max(consistency, float(np.max(np.abs(kernel.c - c))))
     return CommutativeAReport(True, residual, rows, kernel, consistency)
 

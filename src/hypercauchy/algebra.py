@@ -180,14 +180,6 @@ class AlgElem:
         return " ".join(terms) if terms else "0"
 
 
-def mul(a: AlgElem, b: AlgElem, table: AlgebraTable | None = None) -> AlgElem:
-    """Product a*b; table defaults to the operands' shared table."""
-    if table is not None:
-        a = AlgElem(table, a.coeffs) if a.table is not table else a
-        b = AlgElem(table, b.coeffs) if b.table is not table else b
-    return a * b
-
-
 def validate_unit(table: AlgebraTable) -> bool:
     """True iff e_0 is a two-sided unit at FLAG_TOL."""
     eye = np.eye(table.dim)
@@ -416,11 +408,15 @@ def load_algebra(source: str | Path | dict) -> AlgebraTable:
     """Load from a dict, a JSON file path, or a builtin name (names win over paths)."""
     if isinstance(source, dict):
         return algebra_from_dict(source)
-    text = str(source)
-    head = text.partition("(")[0].strip()
-    if head in _SIMPLE_BUILTINS or head in _PARAM_BUILTINS:
-        return builtin(text)
+    if is_builtin_name(source):
+        return builtin(str(source))
     return algebra_from_dict(json.loads(Path(source).read_text()))
+
+
+def is_builtin_name(text: str | Path) -> bool:
+    """True when text names a builtin algebra, with or without parameters."""
+    head = str(text).partition("(")[0].strip()
+    return head in _SIMPLE_BUILTINS or head in _PARAM_BUILTINS
 
 
 def ball_volume(n: int) -> float:

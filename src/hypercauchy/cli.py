@@ -17,7 +17,7 @@ import click
 import numpy as np
 
 from .admissibility import load_conditions, solve_admissibility
-from .algebra import BUILTIN_NAMES, load_algebra, sum_of_basis_squares
+from .algebra import is_builtin_name, load_algebra, sum_of_basis_squares
 from .families import gallery
 from .kernel import CauchyKernel
 from .solutions import NAMED_SOLUTIONS, AlgPolynomial, named_solution
@@ -68,50 +68,53 @@ def _parse_vector(option: str, text: str, n: int) -> np.ndarray:
     return vec
 
 
-def _gallery_case(name: str):
-    for case in gallery():
-        if case.name == name:
-            return case
-    return None
+def _name_or_file(spec: str, build, load, kind: str, noun: str,
+                  missing: str | None = None, chosen: str = "builtin"):
+    """Resolve an argument that is a builtin name or a file path.
+
+    build is the builtin's constructor, or None when spec names no builtin.
+    A builtin wins over a file of the same name, and the collision warns on
+    stderr.  Otherwise load(spec) reads the file; a missing file exits 1
+    with `missing` (when given), any other unreadable one with "could not
+    load <noun>: <reason>".
+    """
+    if build is not None:
+        if os.path.exists(spec):
+            click.echo(f"warning: {spec!r} is both a {kind} and a file; "
+                       f"using the {chosen}", err=True)
+        return build()
+    try:
+        return load(spec)
+    except FileNotFoundError as exc:
+        _fail(missing or f"could not load {noun}: {exc}")
+    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+        _fail(f"could not load {noun}: {exc}")
 
 
 def _resolve_conditions(spec: str):
-    """Gallery case names win over file paths; collisions warn."""
-    case = _gallery_case(spec)
-    if case is not None:
-        if os.path.exists(spec):
-            click.echo(
-                f"warning: {spec!r} is both a gallery name and a file; "
-                "using the gallery case",
-                err=True,
-            )
-        return case.build()
-    try:
-        return load_conditions(spec)
-    except FileNotFoundError:
-        names = ", ".join(c.name for c in gallery())
-        _fail(f"{spec!r} is neither a gallery case ({names}) nor a readable file")
-    except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
-        _fail(f"could not load conditions from {spec!r}: {exc}")
+    cases = {case.name: case for case in gallery()}
+    case = cases.get(spec)
+    return _name_or_file(
+        spec, None if case is None else case.build, load_conditions,
+        "gallery name", f"conditions from {spec!r}",
+        missing=f"{spec!r} is neither a gallery case ({', '.join(cases)}) "
+                "nor a readable file",
+        chosen="gallery case",
+    )
 
 
 def _resolve_function(spec: str, table, n: int) -> AlgPolynomial:
-    if spec in NAMED_SOLUTIONS:
-        if os.path.exists(spec):
-            click.echo(
-                f"warning: {spec!r} is both a builtin function and a file; "
-                "using the builtin",
-                err=True,
-            )
-        return named_solution(spec, table, n)
-    try:
-        data = json.loads(Path(spec).read_text())
+    def load(path: str) -> AlgPolynomial:
+        data = json.loads(Path(path).read_text())
         return AlgPolynomial(table, data["exponents"], data["coeffs"])
-    except FileNotFoundError:
-        _fail(f"{spec!r} is neither a builtin function "
-              f"({', '.join(NAMED_SOLUTIONS)}) nor a readable file")
-    except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
-        _fail(f"could not load polynomial from {spec!r}: {exc}")
+
+    named = spec in NAMED_SOLUTIONS
+    return _name_or_file(
+        spec, (lambda: named_solution(spec, table, n)) if named else None, load,
+        "builtin function", f"polynomial from {spec!r}",
+        missing=f"{spec!r} is neither a builtin function "
+                f"({', '.join(NAMED_SOLUTIONS)}) nor a readable file",
+    )
 
 
 @click.group()
@@ -129,10 +132,12 @@ def main() -> None:
               default="json", show_default=True)
 def inspect(algebra: str, out: str | None, fmt: str) -> None:
     """Structural report for a builtin algebra name or a JSON table file."""
+    noun = f"algebra {algebra!r}"
+    build = (lambda: load_algebra(algebra)) if is_builtin_name(algebra) else None
     try:
-        table = load_algebra(algebra)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        _fail(f"could not load algebra {algebra!r}: {exc}")
+        table = _name_or_file(algebra, build, load_algebra, "builtin algebra", noun)
+    except (KeyError, ValueError) as exc:  # builtin parameters, e.g. dim2(1)
+        _fail(f"could not load {noun}: {exc}")
     squares = sum_of_basis_squares(table)
     assoc_viol = table.associativity_violation
     report = {

@@ -9,15 +9,15 @@ with phi_m(x, y) = sum_i b[m, i] (y_i - x_i).  The second form holds in
 every algebra, associative or not, because the product is bilinear and
 c[j, i] = Vol(B_n) sum_m a[m, j] * b[m, i]; so the coupling c is all the
 kernel needs.  Contracting the field with the outward normal of a domain
-boundary and integrating reproduces solutions.
+boundary and integrating reproduces solutions.  The kernel itself,
+CauchyKernel (conditions, b and c), lives in admissibility beside the
+solvers that return it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .admissibility import CRConditionSet, KernelSolution, solve_admissibility
+from .admissibility import CauchyKernel
 from .algebra import AlgElem, ball_volume
 
 
@@ -25,50 +25,12 @@ class OnDiagonal(Exception):
     """Kernel evaluated at y = x, where it is singular."""
 
 
-KERNEL_RESIDUAL_CEILING = 1e-6
-
-
-@dataclass(frozen=True)
-class CauchyKernel:
-    """A condition set together with kernel weights that solve it."""
-
-    conditions: CRConditionSet
-    solution: KernelSolution
-
-    def __post_init__(self):
-        if self.solution.n != self.conditions.n or self.solution.q != self.conditions.q:
-            raise ValueError("solution shape does not match the condition set")
-
-    @property
-    def n(self) -> int:
-        return self.conditions.n
-
-    @property
-    def table(self):
-        return self.conditions.table
-
-    @classmethod
-    def from_conditions(cls, conditions: CRConditionSet, tol: float = 1e-9) -> CauchyKernel:
-        """Solve the admissibility system and wrap the kernel; error if infeasible."""
-        report = solve_admissibility(conditions, tol=tol)
-        if not report.feasible:
-            raise ValueError(
-                f"conditions are not admissible (residual {report.residual:.3e}); "
-                "no reproducing kernel exists"
-            )
-        return cls(conditions, report.kernel)
-
-    @classmethod
-    def from_solution(cls, solution: KernelSolution,
-                      validate: bool = True) -> CauchyKernel:
-        kernel = cls(solution.conditions(), solution)
-        if validate:
-            viol = solution.condition_violation()
-            if viol > KERNEL_RESIDUAL_CEILING:
-                raise ValueError(
-                    f"kernel weights violate the bilinear constraints by {viol:.3e}"
-                )
-        return kernel
+def _point(kernel: CauchyKernel, name: str, v) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    if v.shape != (kernel.n,):
+        raise ValueError(f"point {name} has shape {v.shape} but the kernel has "
+                         f"{kernel.n} variables")
+    return v
 
 
 def _check_off_diagonal(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -82,38 +44,37 @@ def _check_off_diagonal(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def phi(kernel: CauchyKernel, m: int, x, y) -> AlgElem:
     """The linear form phi_m(x, y) = sum_i b[m, i] (y_i - x_i); zero at y = x."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    coeffs = np.einsum("i,id->d", y - x, kernel.solution.b[m])
+    x, y = _point(kernel, "x", x), _point(kernel, "y", y)
+    coeffs = np.einsum("i,id->d", y - x, kernel.b[m])
     return AlgElem(kernel.table, coeffs)
 
 
 def kernel_field(kernel: CauchyKernel, x, y) -> list[AlgElem]:
     """The n flux components Flux^j(y; x); raises OnDiagonal at y = x."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _point(kernel, "x", x), _point(kernel, "y", y)
     diff = _check_off_diagonal(x, y)
     scale = ball_volume(kernel.n) * float(np.linalg.norm(diff)) ** kernel.n
-    flux = np.einsum("i,jie->je", diff, kernel.solution.c) / scale
+    flux = np.einsum("i,jie->je", diff, kernel.c) / scale
     return [AlgElem(kernel.table, row) for row in flux]
 
 
 def kernel_field_batch(kernel: CauchyKernel, x, Y) -> np.ndarray:
     """Flux components at many points: returns (N, n, dim)."""
-    x = np.asarray(x, dtype=float)
+    x = _point(kernel, "x", x)
     Y = np.asarray(Y, dtype=float)
+    if Y.ndim != 2 or Y.shape[1] != kernel.n:
+        raise ValueError(f"points Y have shape {Y.shape} but the kernel has "
+                         f"{kernel.n} variables")
     diff = Y - x[None, :]
     r2 = np.sum(diff * diff, axis=1)
     if np.any(r2 == 0.0):
         raise OnDiagonal("a batch point coincides with the pole x")
-    flux = np.einsum("ti,jie->tje", diff, kernel.solution.c)
+    flux = np.einsum("ti,jie->tje", diff, kernel.c)
     scale = ball_volume(kernel.n) * r2 ** (kernel.n / 2.0)
     return flux / scale[:, None, None]
 
 
-def closedness_residual(kernel: CauchyKernel, x, y,
-                        finite_difference: bool = False,
-                        h: float = 1e-5) -> float:
+def closedness_residual(kernel: CauchyKernel, x, y) -> float:
     """Residual of the closedness identity at (x, y), normalized to O(1).
 
     The identity states
@@ -122,31 +83,17 @@ def closedness_residual(kernel: CauchyKernel, x, y,
             = n sum_m P_m(y-x) * phi_m(x,y)
 
     with P_m(X) = sum_j X_j a[m,j]; it holds exactly iff the weights solve
-    the bilinear constraints.  finite_difference=True replaces the stored
-    b[m,j] by central differences of phi_m in x (debugging mode, step h).
+    the bilinear constraints.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _point(kernel, "x", x), _point(kernel, "y", y)
     diff = _check_off_diagonal(x, y)
-    table = kernel.table
-    n, q, dim = kernel.n, kernel.conditions.q, table.dim
-    a = kernel.conditions.a
+    n = kernel.n
     r2 = float(diff @ diff)
 
-    if finite_difference:
-        b_eff = np.zeros((q, n, dim))
-        for j in range(n):
-            step = np.zeros(n)
-            step[j] = h
-            plus = np.einsum("i,mid->md", y - (x + step), kernel.solution.b)
-            minus = np.einsum("i,mid->md", y - (x - step), kernel.solution.b)
-            b_eff[:, j, :] = -(plus - minus) / (2.0 * h)
-    else:
-        b_eff = kernel.solution.b
-
-    lhs = r2 * np.einsum("mjs,mjd,sde->e", a, b_eff, table.gamma)
+    lhs = r2 * np.einsum("mjs,mjd,sde->e", kernel.conditions.a, kernel.b,
+                         kernel.table.gamma)
     # sum_m P_m(X) * phi_m = sum_{j,i} X_j X_i c[j, i] / Vol, by bilinearity
-    rhs = n * np.einsum("j,i,jie->e", diff, diff, kernel.solution.c) / ball_volume(n)
+    rhs = n * np.einsum("j,i,jie->e", diff, diff, kernel.c) / ball_volume(n)
 
     scale = n * kernel.conditions.normalization * r2
     return float(np.max(np.abs(lhs - rhs))) / scale

@@ -42,6 +42,20 @@ class SuiteResult:
         return {"suite": self.suite, "passed": self.passed, "lines": self.lines}
 
 
+def _worst_closedness(kernel: CauchyKernel, rng: np.random.Generator,
+                      draws: int) -> float:
+    """Largest closedness_residual over draws random pairs x, y at least
+    1e-3 apart."""
+    worst = 0.0
+    for _ in range(draws):
+        x = rng.normal(size=kernel.n)
+        y = rng.normal(size=kernel.n)
+        while np.linalg.norm(y - x) < 1e-3:
+            y = rng.normal(size=kernel.n)
+        worst = max(worst, closedness_residual(kernel, x, y))
+    return worst
+
+
 def run_gallery(seed: int = 0) -> SuiteResult:
     """Feasibility, constraint residual, ellipticity, and closedness for
     every named gallery case."""
@@ -59,17 +73,10 @@ def run_gallery(seed: int = 0) -> SuiteResult:
             continue
         viol = report.kernel.condition_violation()
         result.record(viol <= 1e-10, f"{case.name}: constraint violation {viol:.3e}")
-        ell = check_ellipticity(C, report.kernel)
+        ell = check_ellipticity(report.kernel)
         result.record(ell.elliptic, f"{case.name}: elliptic "
                       f"(worst coeff {ell.worst_coeff:.3e})")
-        K = CauchyKernel(C, report.kernel)
-        worst = 0.0
-        for _ in range(20):
-            x = rng.normal(size=C.n)
-            y = rng.normal(size=C.n)
-            while np.linalg.norm(y - x) < 1e-3:
-                y = rng.normal(size=C.n)
-            worst = max(worst, closedness_residual(K, x, y))
+        worst = _worst_closedness(report.kernel, rng, 20)
         result.record(worst <= 1e-12, f"{case.name}: closedness {worst:.3e}")
     return result
 
@@ -152,14 +159,8 @@ def run_m2r(seed: int = 0) -> SuiteResult:
     result.record(rep3.feasible, f"q=3: feasible (residual {rep3.residual:.3e})")
     if not rep3.feasible:
         return result
-    K = CauchyKernel(m2r_second_hypothesis(), rep3.kernel)
-    worst = 0.0
-    for _ in range(100):
-        x = rng.normal(size=4)
-        y = rng.normal(size=4)
-        while np.linalg.norm(y - x) < 1e-3:
-            y = rng.normal(size=4)
-        worst = max(worst, closedness_residual(K, x, y))
+    K = rep3.kernel
+    worst = _worst_closedness(K, rng, 100)
     result.record(worst <= 1e-12, f"q=3 closedness {worst:.3e}")
 
     basis = polynomial_solution_basis(K.conditions, 1)

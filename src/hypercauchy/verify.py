@@ -22,12 +22,12 @@ count.  MAX_QUADRATURE_NODES caps the nodes of any rule before it is built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .algebra import AlgElem, ball_volume
-from .kernel import CauchyKernel
+from .kernel import CauchyKernel, _point
 from .solutions import _eval_function, condition_values
 
 MIN_NODES = 8
@@ -90,28 +90,18 @@ class QuadratureSpec:
         if self.nodes < MIN_NODES:
             raise ValueError(f"nodes must be >= {MIN_NODES}")
 
-    def halved(self) -> QuadratureSpec:
-        return QuadratureSpec(
-            scheme=self.scheme,
-            nodes=max(MIN_NODES, self.nodes // 2),
-            seed=self.seed + 1,
-            radial_nodes=None
-            if self.radial_nodes is None
-            else max(MIN_NODES, self.radial_nodes // 2),
-        )
-
 
 def _partner_spec(spec: QuadratureSpec) -> QuadratureSpec:
     """Companion rule for the error estimate: half resolution, or double
     when the rule is already at the minimum (halving would be a no-op)."""
-    if spec.nodes // 2 >= MIN_NODES:
-        return spec.halved()
-    return QuadratureSpec(
-        scheme=spec.scheme,
-        nodes=spec.nodes * 2,
-        seed=spec.seed + 1,
-        radial_nodes=None if spec.radial_nodes is None else spec.radial_nodes * 2,
-    )
+    halve = spec.nodes // 2 >= MIN_NODES
+
+    def resize(k: int) -> int:
+        return max(MIN_NODES, k // 2) if halve else k * 2
+
+    radial = None if spec.radial_nodes is None else resize(spec.radial_nodes)
+    return replace(spec, nodes=resize(spec.nodes), seed=spec.seed + 1,
+                   radial_nodes=radial)
 
 
 @dataclass(frozen=True)
@@ -219,12 +209,9 @@ def sphere_quadrature(domain: BallDomain, spec: QuadratureSpec):
 
 def _inside_point(x, domain: BallDomain, kernel: CauchyKernel) -> np.ndarray:
     """x as a float vector, checked against the kernel and strictly inside."""
-    x = np.asarray(x, dtype=float)
     if domain.n != kernel.n:
         raise ValueError("domain dimension does not match the kernel")
-    if x.shape != (kernel.n,):
-        raise ValueError(f"point x has shape {x.shape} but the kernel has "
-                         f"{kernel.n} variables")
+    x = _point(kernel, "x", x)
     dist = float(np.linalg.norm(x - domain.center))
     if not dist < domain.radius:
         raise PointOutsideDomain(
@@ -263,7 +250,7 @@ def _blocked_product(count: int, gram, gamma: np.ndarray) -> np.ndarray:
 def _normal_flux(nu: np.ndarray, X: np.ndarray, kernel: CauchyKernel) -> np.ndarray:
     """sum_{j,i} nu_j X_i c[j, i] / Vol(B_n) at each node: (N, dim)."""
     n = kernel.n
-    coupling = kernel.solution.c.reshape(n * n, -1) / ball_volume(n)
+    coupling = kernel.c.reshape(n * n, -1) / ball_volume(n)
     return (nu[:, :, None] * X[:, None, :]).reshape(-1, n * n) @ coupling
 
 
@@ -285,7 +272,7 @@ def _volume_sum(tv, X, w, kernel: CauchyKernel) -> np.ndarray:
     def gram(block):
         Xb = X[block]
         scale = w[block] / np.sum(Xb * Xb, axis=1) ** (kernel.n / 2.0)
-        phi = np.einsum("ti,mid->tmd", Xb, kernel.solution.b)
+        phi = np.einsum("ti,mid->tmd", Xb, kernel.b)
         left = scale[:, None, None] * tv[block]
         return left.reshape(-1, dim).T @ phi.reshape(-1, dim)
 
@@ -300,7 +287,7 @@ def _derivative_flux(X, nu, i: int, kernel: CauchyKernel) -> np.ndarray:
     """
     n = kernel.n
     r2 = np.sum(X * X, axis=1)[:, None]
-    nu_c_i = nu @ kernel.solution.c[:, i, :] / ball_volume(n)
+    nu_c_i = nu @ kernel.c[:, i, :] / ball_volume(n)
     outer = n * X[:, i, None] * _normal_flux(nu, X, kernel)
     return (outer - nu_c_i * r2) / r2 ** ((n + 2) / 2.0)
 

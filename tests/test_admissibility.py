@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from hypercauchy.algebra import builtin, ball_volume
 from hypercauchy.admissibility import (
     BasisNotAnticommuting,
+    CauchyKernel,
     CRConditionSet,
     IllConditioned,
-    KernelSolution,
     NotCommutative,
     SingularPrincipalMinor,
     a_differentiable_conditions,
@@ -125,7 +125,7 @@ def test_adiff_tessarine_feasible_and_hand_solution():
     for m in range(3):
         b[m, 0, m + 1] = 1.0 / (4.0 * vol)
         b[m, m + 1, 0] = 1.0 / (4.0 * vol)
-    hand = KernelSolution.from_b(cond, b)
+    hand = CauchyKernel(cond, b)
     assert hand.condition_violation() <= 1e-14
 
 
@@ -200,7 +200,7 @@ def test_clearly_infeasible_does_not_raise():
 def test_ellipticity_dbar_and_fueter():
     for cond in (dbar_conditions(), fueter_conditions()):
         rep = solve_admissibility(cond)
-        ell = check_ellipticity(cond, rep.kernel, samples=64, seed=1)
+        ell = check_ellipticity(rep.kernel, samples=64, seed=1)
         assert ell.elliptic
         assert ell.worst_coeff <= 1e-12
         assert ell.min_symbol_sq > 0.5
@@ -211,12 +211,16 @@ def test_ellipticity_rejects_corrupted_weights():
     rep = solve_admissibility(cond)
     bad = rep.kernel.b.copy()
     bad[0, 0, 0] += 0.05
-    corrupted = KernelSolution.from_b(cond, bad)
-    ell = check_ellipticity(cond, corrupted)
+    corrupted = CauchyKernel(cond, bad)
+    ell = check_ellipticity(corrupted)
     assert not ell.elliptic
     assert ell.worst_coeff > 1e-3
-    with pytest.raises(ValueError, match="different condition set"):
-        check_ellipticity(fueter_conditions(), rep.kernel)
+
+
+def test_ellipticity_needs_a_sample():
+    kernel = solve_admissibility(dbar_conditions()).kernel
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        check_ellipticity(kernel, samples=0)
 
 
 def test_condition_a_dbar_exact():
@@ -245,6 +249,17 @@ def test_condition_a_split_complex_fails():
     rep = commutative_condition_A(a_differentiable_conditions(builtin("dim2(1,0)")))
     assert not rep.feasible
     assert rep.residual >= 1.0
+
+
+@pytest.mark.parametrize("algebra,consistency", [("dim2(1,0)", 1.0), ("dim2(0,0)", 0.5)],
+                         ids=["split", "dual"])
+def test_condition_a_consistency_measures_inconsistent_data(algebra, consistency):
+    # a tolerance that passes these infeasible sets makes Cramer's rule
+    # rebuild c from inconsistent data; the cross-check must report it
+    cond = a_differentiable_conditions(builtin(algebra))
+    rep = commutative_condition_A(cond, tol=1e6)
+    assert rep.feasible
+    assert rep.c_consistency == pytest.approx(consistency, abs=1e-12)
 
 
 def test_condition_a_errors():
@@ -347,7 +362,7 @@ def test_gallery_expectations():
         assert rep.feasible == case.expected_feasible, case.name
         if rep.feasible:
             assert rep.kernel.condition_violation() <= 1e-10, case.name
-            ell = check_ellipticity(cond, rep.kernel, samples=32, seed=0)
+            ell = check_ellipticity(rep.kernel, samples=32, seed=0)
             assert ell.elliptic, case.name
 
 
@@ -450,7 +465,7 @@ def test_system_residual_is_the_constraint_rows_of_c(case):
     C = case.build()
     A, r = assemble_system(C)
     x = np.random.default_rng(9).normal(size=C.unknown_count())
-    K = KernelSolution.from_b(C, x)
+    K = CauchyKernel(C, x)
     vol, e0_over_n = ball_volume(C.n), np.eye(C.table.dim)[0] / C.n
     expected = []
     for i in range(C.n):

@@ -107,13 +107,17 @@ def test_cr_solve_unknown_spec_fails(runner):
     assert result.exit_code == 1
 
 
-def test_gallery_name_wins_over_file_with_warning(runner):
+@pytest.mark.parametrize("args,name", [
+    (["inspect", "complex"], "complex"),
+    (["cr-solve", "fueter"], "fueter"),
+    (["reproduce", "dbar", "-f", "z", "--point", "0.3,0.1"], "z"),
+], ids=["inspect", "cr-solve", "reproduce"])
+def test_builtin_name_wins_over_file_with_warning(runner, args, name):
     with runner.isolated_filesystem():
-        with open("fueter", "w") as fh:
-            fh.write("{}")
-        result = runner.invoke(main, ["cr-solve", "fueter"])
+        Path(name).write_text("{}")
+        result = runner.invoke(main, args)
         assert result.exit_code == 0
-        assert "warning" in result.stderr
+        assert f"warning: {name!r} is both a" in result.stderr
 
 
 def test_reproduce_cubic(runner):

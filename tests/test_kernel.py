@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypercauchy.admissibility import KernelSolution, solve_admissibility
+from hypercauchy.admissibility import solve_admissibility
 from hypercauchy.algebra import builtin
 from hypercauchy.families import (
     a_differentiable_conditions,
@@ -177,10 +177,9 @@ def test_closedness_detects_corrupted_weights():
     good = solve_admissibility(C).kernel
     b_bad = good.b.copy()
     b_bad[0, 1, 0] += 0.1
-    bad = KernelSolution.from_b(C, b_bad, residual=good.residual, nullity=0)
-    with pytest.raises(ValueError):
-        CauchyKernel.from_solution(bad)
-    K_bad = CauchyKernel.from_solution(bad, validate=False)
+    with pytest.raises(ValueError, match="violate the bilinear constraints"):
+        CauchyKernel.from_b(C, b_bad)
+    K_bad = CauchyKernel(C, b_bad)
     rng = np.random.default_rng(6)
     res = [
         closedness_residual(K_bad, rng.normal(size=2), rng.normal(size=2) + 3.0)
@@ -189,24 +188,44 @@ def test_closedness_detects_corrupted_weights():
     assert min(res) > 1e-3
 
 
-def test_finite_difference_mode_agrees():
-    rng = np.random.default_rng(9)
+@pytest.mark.parametrize("call", [
+    lambda K, p, q: phi(K, 0, p, q),
+    kernel_field,
+    lambda K, p, q: kernel_field_batch(K, p, q[None, :]),
+    closedness_residual,
+], ids=["phi", "kernel_field", "kernel_field_batch", "closedness_residual"])
+def test_point_of_wrong_length_rejected_by_name(call):
     K = _kernel(fueter_conditions)
-    x, y = rng.normal(size=4), rng.normal(size=4) + 2.0
-    exact = closedness_residual(K, x, y)
-    fd = closedness_residual(K, x, y, finite_difference=True)
-    assert abs(fd - exact) < 1e-8
+    good, short = np.array([0.1, 0.2, 0.3, 0.4]), np.array([0.5, 0.6, 0.7])
+    with pytest.raises(ValueError, match="kernel has 4 variables"):
+        call(K, short, good)
+    with pytest.raises(ValueError, match="kernel has 4 variables"):
+        call(K, good, short)
 
+
+def test_kernel_weights_of_wrong_size_rejected():
     C = dbar_conditions()
-    b_bad = solve_admissibility(C).kernel.b.copy()
-    b_bad[0, 0, 1] += 0.1
-    K_bad = CauchyKernel.from_solution(
-        KernelSolution.from_b(C, b_bad), validate=False
-    )
-    x, y = rng.normal(size=2), rng.normal(size=2) + 2.0
-    exact = closedness_residual(K_bad, x, y)
-    fd = closedness_residual(K_bad, x, y, finite_difference=True)
-    assert abs(fd - exact) < 1e-8 * max(1.0, exact)
+    with pytest.raises(ValueError, match="kernel weights b have 3 entries"):
+        CauchyKernel(C, np.zeros(3))
+
+
+def test_from_b_rejects_non_finite_weights():
+    C = dbar_conditions()
+    b = solve_admissibility(C).kernel.b.copy()
+    b[0, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="violate the bilinear constraints"):
+        CauchyKernel.from_b(C, b)
+
+
+def test_kernel_weights_and_coupling_stay_in_step():
+    C = dbar_conditions()
+    b = solve_admissibility(C).kernel.b.copy()
+    K = CauchyKernel(C, b)
+    b[0, 0, 0] += 1.0  # the caller's array is not the kernel's
+    assert K.condition_violation() <= 1e-14
+    for arr in (K.b, K.c):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0, 0] = 1.0
 
 
 def test_from_conditions_rejects_infeasible():
