@@ -248,14 +248,16 @@ def assemble_system(conditions: CRConditionSet) -> tuple[np.ndarray, np.ndarray]
 def solve_admissibility(
     conditions: CRConditionSet,
     tol: float = DEFAULT_TOL,
-    ill_ceiling: float = ILL_CONDITIONED_CEILING,
 ) -> AdmissibilityReport:
     """Decide kernel existence by min-norm least squares on the assembled system.
 
-    Feasible iff the relative residual of the row-normalized system is <= tol.
-    Residuals between tol and ill_ceiling raise IllConditioned rather than
-    returning a verdict.
+    Feasible iff the relative residual of the row-normalized system is <= tol
+    (which must be positive).  Residuals between tol and
+    ILL_CONDITIONED_CEILING raise IllConditioned rather than returning a
+    verdict.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     A, r = assemble_system(conditions)
     row_norms = np.linalg.norm(A, axis=1)
     scale = np.where(row_norms > 1e-12, row_norms, 1.0)
@@ -270,8 +272,8 @@ def solve_admissibility(
     free_dim = conditions.unknown_count() - rank
     residual = float(np.linalg.norm(An @ x - rn) / rhs_norm)
 
-    if tol < residual < ill_ceiling:
-        raise IllConditioned(residual, tol, ill_ceiling)
+    if tol < residual < ILL_CONDITIONED_CEILING:
+        raise IllConditioned(residual, tol, ILL_CONDITIONED_CEILING)
 
     feasible = residual <= tol
     kernel = CauchyKernel(conditions, x) if feasible else None
@@ -348,13 +350,13 @@ def check_ellipticity(
     kernel: CauchyKernel,
     samples: int = 128,
     seed: int = 0,
-    tol: float = DEFAULT_TOL,
 ) -> EllipticityReport:
     """Verify sum_m P_m(X) Q_m(X) = kappa ||X||^2 e_0 coefficientwise.
 
     P_m(X) = sum_j X_j a[m, j] and Q_m(X) = sum_i X_i b[m, i]; the identity
     is the quadratic-form restatement of the bilinear constraints, so its
-    worst coefficient is the kernel's condition_violation.  Also reports the
+    worst coefficient is the kernel's condition_violation, which must stay
+    within DEFAULT_TOL.  Also reports the
     minimum of sum_m |P_m(X)|^2 over sampled unit vectors X, which must stay
     positive for elliptic conditions.
     """
@@ -371,7 +373,7 @@ def check_ellipticity(
     sym_sq = np.sum(symbols**2, axis=(1, 2))
     min_symbol = float(np.min(sym_sq))
     return EllipticityReport(
-        elliptic=(worst <= tol and min_symbol > 1e-10),
+        elliptic=(worst <= DEFAULT_TOL and min_symbol > 1e-10),
         worst_coeff=worst,
         min_symbol_sq=min_symbol,
     )

@@ -85,9 +85,6 @@ class AlgebraTable:
         c[0] = 1.0
         return AlgElem(self, c)
 
-    def zero(self) -> AlgElem:
-        return AlgElem(self, np.zeros(self.dim))
-
     def basis_elem(self, i: int) -> AlgElem:
         c = np.zeros(self.dim)
         c[i] = 1.0
@@ -242,34 +239,23 @@ def sum_of_basis_squares(table: AlgebraTable) -> AlgElem:
 # -- Cayley-Dickson doubling ------------------------------------------------
 
 
-def _conj_coeffs(c: np.ndarray) -> np.ndarray:
-    out = -c.copy()
-    out[0] = c[0]
-    return out
-
-
 def cayley_dickson(table: AlgebraTable) -> AlgebraTable:
-    """Double the algebra: pairs (a, b) with (a,b)(c,d) = (ac - conj(d) b, da + b conj(c))."""
+    """Double the algebra: pairs (a, b) with (a,b)(c,d) = (ac - conj(d) b, da + b conj(c)).
+
+    Four blocks on the basis pairs, with conj(e_j) = s_j e_j; adding 0.0
+    clears the -0.0 the sign flips leave, as the formula's sums do.
+    """
     d = table.dim
-    n = 2 * d
-    g = np.zeros((n, n, n))
-
-    def pair_product(a, b, c, dd):
-        first = table.mul_coeffs(a, c) - table.mul_coeffs(_conj_coeffs(dd), b)
-        second = table.mul_coeffs(dd, a) + table.mul_coeffs(b, _conj_coeffs(c))
-        return first, second
-
-    eye = np.eye(d)
-    zero = np.zeros(d)
-    for i in range(n):
-        ai, bi = (eye[i], zero) if i < d else (zero, eye[i - d])
-        for j in range(n):
-            cj, dj = (eye[j], zero) if j < d else (zero, eye[j - d])
-            first, second = pair_product(ai, bi, cj, dj)
-            g[i, j, :d] = first
-            g[i, j, d:] = second
-    names = [f"e{i}" for i in range(n)]
-    return AlgebraTable(g, names)
+    g = table.gamma
+    gt = g.transpose(1, 0, 2)  # gt[i, j] = e_j e_i
+    s = np.full(d, -1.0)
+    s[0] = 1.0
+    out = np.zeros((2 * d, 2 * d, 2 * d))
+    out[:d, :d, :d] = g                              # (e_i, 0)(e_j, 0) = (e_i e_j, 0)
+    out[:d, d:, d:] = gt                             # (e_i, 0)(0, e_j) = (0, e_j e_i)
+    out[d:, :d, d:] = g * s[None, :, None]           # (0, e_i)(e_j, 0) = (0, e_i conj(e_j))
+    out[d:, d:, :d] = -gt * s[None, :, None]         # (0, e_i)(0, e_j) = (-conj(e_j) e_i, 0)
+    return AlgebraTable(out + 0.0, [f"e{i}" for i in range(2 * d)])
 
 
 # -- builtin tables ----------------------------------------------------------

@@ -28,6 +28,7 @@ from .verify import (
     QuadratureSpec,
     QuadratureUnderResolved,
     boundary_reproduce,
+    sphere_rule,
 )
 
 SCHEMA_VERSION = "1"
@@ -207,9 +208,8 @@ def cr_solve(conditions: str, tol: float, out: str | None, fmt: str) -> None:
               help="Ball center (comma-separated); default origin.")
 @click.option("--radius", type=float, default=1.0, show_default=True)
 @click.option("--nodes", type=int, default=32, show_default=True,
-              help="Per-angle node count (product_gauss) or total (monte_carlo).")
-@click.option("--scheme", type=click.Choice(["product_gauss", "monte_carlo"]),
-              default="product_gauss", show_default=True)
+              help="Nodes per angle for n <= 4 (product Gauss), total Monte "
+                   "Carlo nodes above; --seed draws them.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--tol", type=float, default=None,
               help="Target error; raises an error when the half-resolution "
@@ -218,8 +218,8 @@ def cr_solve(conditions: str, tol: float, out: str | None, fmt: str) -> None:
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]),
               default="json", show_default=True)
 def reproduce(conditions: str, function_spec: str, point: str,
-              center: str | None, radius: float, nodes: int, scheme: str,
-              seed: int, tol: float | None, out: str | None, fmt: str) -> None:
+              center: str | None, radius: float, nodes: int, seed: int,
+              tol: float | None, out: str | None, fmt: str) -> None:
     """Reproduce a solution from its boundary values through the kernel."""
     if tol is not None and not tol > 0:
         _fail("--tol must be positive")
@@ -233,7 +233,7 @@ def reproduce(conditions: str, function_spec: str, point: str,
     try:
         f = _resolve_function(function_spec, C.table, C.n)
         domain = BallDomain(c, radius)
-        spec = QuadratureSpec(scheme=scheme, nodes=nodes, seed=seed)
+        spec = QuadratureSpec(nodes=nodes, seed=seed)
         report = boundary_reproduce(f, x, domain, kernel, spec,
                                     target_error=tol)
     except (PointOutsideDomain, QuadratureUnderResolved, ValueError) as exc:
@@ -246,7 +246,7 @@ def reproduce(conditions: str, function_spec: str, point: str,
         "center": c.tolist(),
         "radius": radius,
         "nodes": nodes,
-        "scheme": scheme,
+        "scheme": sphere_rule(C.n),
         "seed": seed,
     }
     text = [

@@ -116,9 +116,14 @@ def noncommutative_dim3_table(g112: float, g121: float,
     return AlgebraTable(g)
 
 
-def sample_dim3_table(rng: np.random.Generator, commutative: bool,
-                      scale: float = 2.0) -> AlgebraTable:
-    """Draw one associative dim-3 table; parameters uniform in [-scale, scale]."""
+DIM3_PARAM_SCALE = 2.0
+INVERTIBLE_DRAW_TRIES = 200
+
+
+def sample_dim3_table(rng: np.random.Generator, commutative: bool) -> AlgebraTable:
+    """Draw one associative dim-3 table; parameters uniform in
+    [-DIM3_PARAM_SCALE, DIM3_PARAM_SCALE]."""
+    scale = DIM3_PARAM_SCALE
     if commutative:
         table = commutative_dim3_table(*rng.uniform(-scale, scale, 6))
     else:
@@ -129,9 +134,9 @@ def sample_dim3_table(rng: np.random.Generator, commutative: bool,
     return table
 
 
-def random_invertible_elem(table: AlgebraTable, rng: np.random.Generator,
-                           max_tries: int = 200) -> np.ndarray:
-    for _ in range(max_tries):
+def random_invertible_elem(table: AlgebraTable,
+                           rng: np.random.Generator) -> np.ndarray:
+    for _ in range(INVERTIBLE_DRAW_TRIES):
         v = rng.standard_normal(table.dim)
         try:
             try_invert(AlgElem(table, v))
@@ -219,4 +224,4 @@ def gallery() -> list[GalleryCase]:
 def commutative_gallery() -> list[GalleryCase]:
     """Gallery cases whose algebra is commutative (and associative)."""
     return [case for case in gallery()
-            if case.build().table.commutative and case.build().table.associative]
+            if (table := case.build().table).commutative and table.associative]

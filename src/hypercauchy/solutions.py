@@ -180,25 +180,21 @@ def _eval_function(f, Y: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
-def condition_values(
-    conditions: CRConditionSet,
-    f,
-    Y,
-    h: float = DEFAULT_FD_STEP,
-) -> np.ndarray:
+def condition_values(conditions: CRConditionSet, f, Y) -> np.ndarray:
     """The q condition values sum_j (df/dy_j) * a[m, j] at each row of Y.
 
     Returns (N, q, dim).  Exact derivatives for AlgPolynomial; central
-    differences of step h (order h^2) of _eval_function otherwise.
+    differences of step h = DEFAULT_FD_STEP (order h^2) of _eval_function
+    otherwise.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     n, dim = conditions.n, conditions.table.dim
     if isinstance(f, AlgPolynomial):
         derivs = [f.partial_derivative(j).eval_batch(Y) for j in range(n)]
     else:
-        step = h * np.eye(n)
+        step = DEFAULT_FD_STEP * np.eye(n)
         derivs = [(_eval_function(f, Y + step[j], dim)
-                   - _eval_function(f, Y - step[j], dim)) / (2.0 * h)
+                   - _eval_function(f, Y - step[j], dim)) / (2.0 * DEFAULT_FD_STEP)
                   for j in range(n)]
     return np.einsum("tjs,mjd,sdk->tmk", np.stack(derivs, axis=1), conditions.a,
                      conditions.table.gamma, optimize=True)
@@ -208,10 +204,9 @@ def apply_cr_operator(
     conditions: CRConditionSet,
     f: AlgPolynomial | Callable[[np.ndarray], np.ndarray],
     x,
-    h: float = DEFAULT_FD_STEP,
 ) -> list[AlgElem]:
     """The q condition values at the single point x (see condition_values)."""
-    values = condition_values(conditions, f, np.reshape(x, (1, -1)), h)
+    values = condition_values(conditions, f, np.reshape(x, (1, -1)))
     return [AlgElem(conditions.table, t) for t in values[0]]
 
 

@@ -25,6 +25,9 @@ from .solutions import polynomial_solution_basis
 from .verify import BallDomain, QuadratureSpec, boundary_reproduce
 
 SUITE_NAMES = ("gallery", "dim3", "dim2sweep", "m2r")
+DIM3_SAMPLES = 100
+DIM2_GRID_STEP = 0.5
+DIM2_PARABOLA_MARGIN = 0.05  # grid points with |b^2 + 4a| below this are skipped
 
 
 @dataclass
@@ -81,14 +84,14 @@ def run_gallery(seed: int = 0) -> SuiteResult:
     return result
 
 
-def run_dim3(samples: int = 100, seed: int = 0) -> SuiteResult:
-    """Associative dimension-3 tables with invertible q=1 coefficients must
-    all be infeasible with a clear residual margin."""
+def run_dim3(seed: int = 0) -> SuiteResult:
+    """DIM3_SAMPLES associative dimension-3 tables with invertible q=1
+    coefficients must all be infeasible with a clear residual margin."""
     result = SuiteResult("dim3", True)
     rng = np.random.default_rng(seed)
     worst = np.inf
     infeasible = 0
-    for k in range(samples):
+    for k in range(DIM3_SAMPLES):
         table = sample_dim3_table(rng, commutative=(k % 2 == 0))
         C = random_invertible_single_condition(table, 3, rng)
         report = solve_admissibility(C)
@@ -96,25 +99,24 @@ def run_dim3(samples: int = 100, seed: int = 0) -> SuiteResult:
             infeasible += 1
         worst = min(worst, report.residual)
     result.record(
-        infeasible == samples,
-        f"{infeasible}/{samples} infeasible with residual > 1e-2 "
+        infeasible == DIM3_SAMPLES,
+        f"{infeasible}/{DIM3_SAMPLES} infeasible with residual > 1e-2 "
         f"(min residual {worst:.3e})",
     )
     return result
 
 
-def run_dim2sweep(step: float = 0.5, margin: float = 0.05,
-                  seed: int = 0) -> SuiteResult:
+def run_dim2sweep(seed: int = 0) -> SuiteResult:
     """Grid over dim-2 algebra parameters: a feasible invertible q=1 pair
     exists iff b^2 + 4a < 0 (grid points near the parabola excluded)."""
     result = SuiteResult("dim2sweep", True)
     rng = np.random.default_rng(seed)
-    grid = np.arange(-3.0, 3.0 + step / 2, step)
+    grid = np.arange(-3.0, 3.0 + DIM2_GRID_STEP / 2, DIM2_GRID_STEP)
     checked = mismatches = skipped = 0
     for a in grid:
         for b in grid:
             disc = b * b + 4 * a
-            if abs(disc) < margin:
+            if abs(disc) < DIM2_PARABOLA_MARGIN:
                 skipped += 1
                 continue
             checked += 1

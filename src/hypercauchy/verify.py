@@ -22,6 +22,7 @@ count.  MAX_QUADRATURE_NODES caps the nodes of any rule before it is built.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,53 +56,54 @@ class BallDomain:
     radius: float
 
     def __post_init__(self):
-        center = np.asarray(self.center, dtype=float).reshape(-1)
+        center = np.array(self.center, dtype=float)
+        if center.ndim != 1 or center.size == 0:
+            raise ValueError(
+                f"ball center must be a non-empty vector, got shape {center.shape}")
         if not np.all(np.isfinite(center)):
             raise ValueError("ball center must be finite")
         center.setflags(write=False)
         object.__setattr__(self, "center", center)
-        if not (self.radius > 0 and math.isfinite(self.radius)):
+        radius = np.asarray(self.radius)
+        if radius.ndim != 0 or radius.dtype.kind not in "iuf":
+            raise ValueError(f"ball radius must be a real scalar, got {self.radius!r}")
+        radius = float(radius)
+        if not (radius > 0 and math.isfinite(radius)):
             raise ValueError("ball radius must be positive and finite")
+        object.__setattr__(self, "radius", radius)
 
     @property
     def n(self) -> int:
         return self.center.shape[0]
 
-    def contains(self, x, margin: float = 0.0) -> bool:
-        x = np.asarray(x, dtype=float)
-        return float(np.linalg.norm(x - self.center)) < self.radius - margin
+
+def sphere_rule(n: int) -> str:
+    """The rule for the unit (n-1)-sphere: product Gauss-Legendre in
+    hyperspherical angles for n <= 4, antithetic Monte Carlo above (a product
+    rule needs nodes^(n-1) points)."""
+    return "product_gauss" if n <= 4 else "monte_carlo"
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Boundary rule: product Gauss-Legendre in hyperspherical angles for
-    n <= 4 (nodes = per-angle count), antithetic Monte Carlo otherwise
-    (nodes = total).  radial_nodes sizes the shell rule of volume terms
-    (defaults to nodes)."""
+    """Resolution of the sphere_rule(n) rule: nodes per angle for n <= 4,
+    total Monte Carlo nodes above; seed draws them.  Volume terms add nodes
+    radial points per direction."""
 
-    scheme: str = "product_gauss"
     nodes: int = 32
     seed: int = 0
-    radial_nodes: int | None = None
 
     def __post_init__(self):
-        if self.scheme not in ("product_gauss", "monte_carlo"):
-            raise ValueError(f"unknown quadrature scheme {self.scheme!r}")
         if self.nodes < MIN_NODES:
             raise ValueError(f"nodes must be >= {MIN_NODES}")
 
 
 def _partner_spec(spec: QuadratureSpec) -> QuadratureSpec:
     """Companion rule for the error estimate: half resolution, or double
-    when the rule is already at the minimum (halving would be a no-op)."""
-    halve = spec.nodes // 2 >= MIN_NODES
-
-    def resize(k: int) -> int:
-        return max(MIN_NODES, k // 2) if halve else k * 2
-
-    radial = None if spec.radial_nodes is None else resize(spec.radial_nodes)
-    return replace(spec, nodes=resize(spec.nodes), seed=spec.seed + 1,
-                   radial_nodes=radial)
+    when halving would go below MIN_NODES."""
+    half = spec.nodes // 2
+    return replace(spec, nodes=half if half >= MIN_NODES else spec.nodes * 2,
+                   seed=spec.seed + 1)
 
 
 @dataclass(frozen=True)
@@ -172,8 +174,7 @@ def _sphere_directions_gauss(n: int, k: int):
 
 def _sphere_directions_mc(n: int, total: int, seed: int):
     rng = np.random.default_rng(seed)
-    half = max(1, total // 2)
-    g = rng.standard_normal((half, n))
+    g = rng.standard_normal((total // 2, n))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
     omega = np.concatenate([g, -g], axis=0)
     w = np.full(omega.shape[0], sphere_area(n) / omega.shape[0])
@@ -181,20 +182,20 @@ def _sphere_directions_mc(n: int, total: int, seed: int):
 
 
 def _unit_directions(n: int, spec: QuadratureSpec, per_direction: int = 1):
-    """Unit directions and weights of the rule, built only after checking
-    that directions * per_direction nodes fit in MAX_QUADRATURE_NODES."""
-    if spec.scheme == "product_gauss" and n > 4:
-        raise ValueError("product_gauss supports n <= 4; use monte_carlo")
-    if spec.scheme == "product_gauss":
+    """Unit directions and weights of the sphere_rule(n) rule, built only
+    after checking that directions * per_direction nodes fit in
+    MAX_QUADRATURE_NODES."""
+    gauss = sphere_rule(n) == "product_gauss"
+    if gauss:
         count = 2 if n == 1 else spec.nodes ** (n - 1)
     else:
-        count = 2 * max(1, spec.nodes // 2)
+        count = 2 * (spec.nodes // 2)
     if count * per_direction > MAX_QUADRATURE_NODES:
         raise QuadratureTooLarge(
             f"rule needs {count * per_direction} nodes; "
             f"the limit is {MAX_QUADRATURE_NODES}"
         )
-    if spec.scheme == "product_gauss":
+    if gauss:
         return _sphere_directions_gauss(n, spec.nodes)
     return _sphere_directions_mc(n, spec.nodes, spec.seed)
 
@@ -303,9 +304,11 @@ def _reproduction_report(f, x, kernel, spec, term,
     """Compare term(spec) with f(x).
 
     term(spec) returns the quadrature value and its node count; with
-    target_error set, term is rerun on the partner rule and
-    QuadratureUnderResolved is raised when the two differ by more.
+    target_error set (it must be positive), term is rerun on the partner
+    rule and QuadratureUnderResolved is raised when the two differ by more.
     """
+    if target_error is not None and not target_error > 0:
+        raise ValueError(f"target_error must be positive, got {target_error!r}")
     acc, used = term(spec)
     if target_error is not None:
         partner, _ = term(_partner_spec(spec))
@@ -332,7 +335,6 @@ def boundary_reproduce(
     domain: BallDomain,
     kernel: CauchyKernel,
     spec: QuadratureSpec,
-    check_solution: bool = True,
     target_error: float | None = None,
 ) -> ReproductionReport:
     """Reproduce f(x) from boundary values of a condition-set solution.
@@ -343,8 +345,7 @@ def boundary_reproduce(
     the estimate exceeds it.
     """
     x = _inside_point(x, domain, kernel)
-    if check_solution:
-        _check_is_solution(f, kernel, x, domain)
+    _check_is_solution(f, kernel, x, domain)
     return _reproduction_report(
         f, x, kernel, spec,
         lambda s: _boundary_term(f, x, domain, kernel, s), target_error,
@@ -358,8 +359,7 @@ def _volume_term(f, x, domain, kernel, spec) -> tuple[np.ndarray, int]:
     kernel singularity, leaving a smooth integrand on [0, t(omega)].
     """
     n = domain.n
-    k_rad = spec.radial_nodes if spec.radial_nodes is not None else spec.nodes
-    k_rad = max(MIN_NODES, k_rad)
+    k_rad = spec.nodes
     omega, w_ang = _unit_directions(n, spec, per_direction=k_rad)
     t_ref, t_w = np.polynomial.legendre.leggauss(k_rad)
     t_ref = 0.5 * (t_ref + 1.0)  # reference [0, 1]
@@ -412,7 +412,6 @@ def derivative_via_kernel(
     domain: BallDomain,
     kernel: CauchyKernel,
     spec: QuadratureSpec,
-    check_solution: bool = True,
 ) -> DerivativeReport:
     """d f / d x_i from boundary values, via the pole derivative of the kernel.
 
@@ -423,11 +422,14 @@ def derivative_via_kernel(
     spectral norm of right-multiplication by the contracted flux, which
     bounds |df| by M sup|f| / R.
     """
+    try:
+        i = operator.index(i)
+    except TypeError:
+        raise ValueError(f"derivative direction must be an integer, got {i!r}") from None
     if not 0 <= i < kernel.n:
         raise ValueError("derivative direction out of range")
     x = _inside_point(x, domain, kernel)
-    if check_solution:
-        _check_is_solution(f, kernel, x, domain)
+    _check_is_solution(f, kernel, x, domain)
 
     Y, nu, w = sphere_quadrature(domain, spec)
     table = kernel.table

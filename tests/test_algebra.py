@@ -71,6 +71,38 @@ def test_cayley_dickson_of_complex_is_quaternion():
     assert np.array_equal(got.gamma, builtin("quaternion").gamma)
 
 
+def _cayley_dickson_by_pairs(table):
+    """The doubled table from (a,b)(c,d) = (ac - conj(d) b, da + b conj(c)),
+    one basis pair at a time."""
+    d = table.dim
+    n = 2 * d
+
+    def conj(c):
+        out = -c.copy()
+        out[0] = c[0]
+        return out
+
+    g = np.zeros((n, n, n))
+    eye, zero = np.eye(d), np.zeros(d)
+    for i in range(n):
+        a, b = (eye[i], zero) if i < d else (zero, eye[i - d])
+        for j in range(n):
+            c, dd = (eye[j], zero) if j < d else (zero, eye[j - d])
+            g[i, j, :d] = table.mul_coeffs(a, c) - table.mul_coeffs(conj(dd), b)
+            g[i, j, d:] = table.mul_coeffs(dd, a) + table.mul_coeffs(b, conj(c))
+    return g
+
+
+@pytest.mark.parametrize("name", ["reals", "complex", "quaternion", "octonion",
+                                  "dim2(0.7,-0.3)", "clifford(2,3)"])
+def test_cayley_dickson_matches_pair_products(name):
+    table = builtin(name)
+    got = cayley_dickson(table).gamma
+    want = _cayley_dickson_by_pairs(table)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))  # signs of zeros too
+
+
 def test_cayley_dickson_of_reals_is_complex():
     got = cayley_dickson(builtin("reals"))
     assert np.array_equal(got.gamma, builtin("complex").gamma)

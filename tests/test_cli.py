@@ -216,13 +216,27 @@ def test_suite_unknown_name_rejected(runner):
 
 
 def test_json_output_deterministic(runner, tmp_path):
+    # seeded Monte Carlo: n = 8 is above the product-Gauss range
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-    args = ["reproduce", "dbar", "-f", "z2", "--point", "0.1,0.2",
-            "--scheme", "monte_carlo", "--nodes", "500", "--seed", "9"]
+    args = ["reproduce", "fueter_induced2", "-f", "const",
+            "--point", "0.1,0,0,0,0,0,0,0", "--nodes", "500", "--seed", "9"]
     r1 = runner.invoke(main, args + ["--out", str(out1)])
     r2 = runner.invoke(main, args + ["--out", str(out2)])
     assert r1.exit_code == 0 and r2.exit_code == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("conditions,point,rule", [
+    ("fueter", "0.1,0,0,0", "product_gauss"),
+    ("fueter_induced2", "0.1,0,0,0,0,0,0,0", "monte_carlo"),
+])
+def test_reproduce_rule_follows_from_dimension(runner, conditions, point, rule):
+    result = runner.invoke(main, ["reproduce", conditions, "-f", "const",
+                                  "--point", point, "--nodes", "64"])
+    assert result.exit_code == 0, result.output
+    payload = _json_payload(result)
+    assert payload["config"]["scheme"] == rule
+    assert payload["report"]["rel_error"] < 0.02
 
 
 def test_cr_solve_tol_validation(runner):

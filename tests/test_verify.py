@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hypercauchy.admissibility import CRConditionSet
+from hypercauchy.admissibility import CRConditionSet, solve_admissibility
 from hypercauchy.algebra import AlgebraTable, builtin
 from hypercauchy.families import dbar_conditions, fueter_conditions, gallery
 from hypercauchy.kernel import CauchyKernel
@@ -21,6 +21,7 @@ from hypercauchy.verify import (
     derivative_via_kernel,
     sphere_area,
     sphere_quadrature,
+    sphere_rule,
     verify_representation,
 )
 
@@ -69,7 +70,7 @@ def test_sphere_quadrature_area_and_centroid(n, k):
 
 def test_sphere_quadrature_monte_carlo_area_and_seed_determinism():
     D = BallDomain(np.zeros(6), 2.0)
-    Q = QuadratureSpec(scheme="monte_carlo", nodes=5000, seed=11)
+    Q = QuadratureSpec(nodes=5000, seed=11)
     Y1, _, w1 = sphere_quadrature(D, Q)
     Y2, _, w2 = sphere_quadrature(D, Q)
     assert np.array_equal(Y1, Y2) and np.array_equal(w1, w2)
@@ -78,17 +79,20 @@ def test_sphere_quadrature_monte_carlo_area_and_seed_determinism():
     assert np.linalg.norm(Y1.sum(axis=0) - 2 * len(w1) * D.center[:0].sum()) < 1e-9
 
 
-def test_product_gauss_rejected_above_four_dims():
+def test_monte_carlo_rule_above_four_dims():
+    assert [sphere_rule(n) for n in (1, 4, 5, 8)] == [
+        "product_gauss", "product_gauss", "monte_carlo", "monte_carlo"]
+    nodes = 9
     D = BallDomain(np.zeros(5), 1.0)
-    with pytest.raises(ValueError, match="monte_carlo"):
-        sphere_quadrature(D, QuadratureSpec(nodes=8))
+    Y, nu, w = sphere_quadrature(D, QuadratureSpec(nodes=nodes))
+    assert Y.shape == (2 * (nodes // 2), 5) and w.shape == (2 * (nodes // 2),)
+    assert abs(w.sum() - sphere_area(5)) < 1e-12
+    np.testing.assert_allclose(np.linalg.norm(nu, axis=1), 1.0, atol=1e-13)
 
 
 def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(nodes=4)
-    with pytest.raises(ValueError):
-        QuadratureSpec(scheme="simpson", nodes=16)
     with pytest.raises(ValueError):
         BallDomain(np.zeros(2), 0.0)
 
@@ -150,7 +154,7 @@ def test_reproduce_constant_monte_carlo_high_dimension():
         x,
         BallDomain(np.zeros(8), 1.0),
         K,
-        QuadratureSpec(scheme="monte_carlo", nodes=20000, seed=3),
+        QuadratureSpec(nodes=20000, seed=3),
     )
     assert rep.rel_error < 0.02
 
@@ -314,6 +318,57 @@ def test_derivative_direction_validation():
         )
 
 
+def test_derivative_direction_must_be_an_integer():
+    K = _complex_kernel()
+    D = BallDomain(np.zeros(2), 1.0)
+    spec = QuadratureSpec(nodes=16)
+    for bad in (1.5, "1", None):
+        with pytest.raises(ValueError, match="direction must be an integer"):
+            derivative_via_kernel(_cubic(), np.zeros(2), bad, D, K, spec)
+    # integer-like directions are coerced, not broadcast as masks or arrays
+    ref = derivative_via_kernel(_cubic(), np.zeros(2), 1, D, K, spec).value.coeffs
+    for i in (np.int64(1), True):
+        got = derivative_via_kernel(_cubic(), np.zeros(2), i, D, K, spec)
+        assert np.array_equal(got.value.coeffs, ref)
+
+
+@pytest.mark.parametrize("center,radius,message", [
+    (np.zeros((2, 2)), 1.0, "center must be a non-empty vector"),
+    (0.0, 1.0, "center must be a non-empty vector"),
+    (np.zeros(0), 1.0, "center must be a non-empty vector"),
+    (np.zeros(2), np.ones(2), "radius must be a real scalar"),
+    (np.zeros(2), 1.0 + 0.0j, "radius must be a real scalar"),
+    (np.zeros(2), "1.0", "radius must be a real scalar"),
+    (np.zeros(2), True, "radius must be a real scalar"),
+], ids=["center-2d", "center-scalar", "center-empty", "radius-array",
+        "radius-complex", "radius-str", "radius-bool"])
+def test_ball_domain_shape_rejected_by_name(center, radius, message):
+    with pytest.raises(ValueError, match=message):
+        BallDomain(center, radius)
+
+
+def test_ball_domain_keeps_its_own_center():
+    center = np.zeros(2)
+    D = BallDomain(center, 1)
+    center[0] = 5.0
+    assert D.center[0] == 0.0 and center.flags.writeable
+    assert isinstance(D.radius, float) and D.radius == 1.0
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan], ids=["zero", "negative", "nan"])
+def test_non_positive_tolerance_rejected_by_name(bad):
+    C = fueter_conditions()
+    for solve in (solve_admissibility, CauchyKernel.from_conditions):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            solve(C, tol=bad)
+    K = _fueter_kernel()
+    D = BallDomain(np.zeros(4), 1.0)
+    for reproduce in (boundary_reproduce, verify_representation):
+        with pytest.raises(ValueError, match="target_error must be positive"):
+            reproduce(_zeta1(), np.zeros(4), D, K, QuadratureSpec(nodes=8),
+                      target_error=bad)
+
+
 def test_callable_returning_alg_elem_is_evaluated():
     # the default check_solution path and the operator share one f protocol
     K = _fueter_kernel()
@@ -366,13 +421,12 @@ def test_node_budget_checked_before_allocation():
     D = BallDomain(np.zeros(4), 1.0)
     with pytest.raises(QuadratureTooLarge):
         sphere_quadrature(D, QuadratureSpec(nodes=10**4))
-    # the boundary rule fits; the volume rule (angular x radial) does not
-    K = _complex_kernel()
+    # the boundary rule (46^3 nodes) fits; the volume rule (46^3 directions
+    # x 46 radial points) does not
+    spec = QuadratureSpec(nodes=46)
+    assert sphere_quadrature(D, spec)[0].shape == (46**3, 4)
     with pytest.raises(QuadratureTooLarge):
-        verify_representation(
-            _cubic(), np.array([0.1, 0.0]), BallDomain(np.zeros(2), 1.0), K,
-            QuadratureSpec(nodes=16, radial_nodes=10**9),
-        )
+        verify_representation(_zeta1(), np.zeros(4), D, _fueter_kernel(), spec)
 
 
 # -- parity with the per-node b-form sums ---------------------------------------
