@@ -459,7 +459,10 @@ def commutative_condition_A(
     the principal block with row p dropped and non-principal row k appended.
     On success the coupling c and kernel weights b are reconstructed by
     Cramer's rule and cross-checked against the bilinear constraints.
+    tol bounds the normalised residual and must be positive.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     table = conditions.table
     if not (table.commutative and table.associative):
         raise NotCommutative(

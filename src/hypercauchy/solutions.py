@@ -19,6 +19,7 @@ from .algebra import AlgebraTable, AlgElem
 
 NULLSPACE_REL_SV = 1e-10
 DEFAULT_FD_STEP = 1e-5
+EVAL_BLOCK = 1024
 
 
 def monomial_exponents(n: int, degree: int) -> list[tuple[int, ...]]:
@@ -52,6 +53,8 @@ class AlgPolynomial:
             raise ValueError("one coefficient row per monomial required")
         if cfs.shape[1] != self.table.dim:
             raise ValueError("coefficient width must equal the algebra dimension")
+        if exps.shape[1] == 0:
+            raise ValueError("a polynomial needs at least one variable")
         if np.any(exps < 0):
             raise ValueError("exponents must be non-negative")
         if not np.all(np.isfinite(cfs)):
@@ -103,13 +106,35 @@ class AlgPolynomial:
         return AlgElem(self.table, self.eval_batch(np.atleast_2d(x))[0])
 
     def eval_batch(self, X) -> np.ndarray:
-        """Values at many points: X (N, n) -> (N, dim)."""
+        """Values at many points: X (N, n) -> (N, dim).
+
+        Reads a power table P of shape (deg+1, n, N) with P[0] = 1 and
+        P[k] = P[k-1] * X.T, so P[k, j] holds x_j^k at every point.  The
+        monomial values, shape (M, N), are the products over j of the rows
+        P[exponents[:, j], j]: deg multiplications per variable build every
+        power, instead of a float pow per point, monomial and variable.  The
+        points go through in blocks of EVAL_BLOCK, so the table and the
+        monomial values stay small; every row of the result depends on its
+        own point only.
+        """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.ndim != 2 or X.shape[1] != self.n:
             raise ValueError(f"points have shape {X.shape} but the polynomial "
                              f"has {self.n} variables")
-        mono = np.prod(X[:, None, :] ** self.exponents[None, :, :], axis=2)
-        return mono @ self.coeffs
+        exps = self.exponents
+        deg = int(exps.max(initial=0))
+        out = np.empty((X.shape[0], self.table.dim))
+        for lo in range(0, X.shape[0], EVAL_BLOCK):
+            Xt = X[lo : lo + EVAL_BLOCK].T
+            P = np.empty((deg + 1,) + Xt.shape)
+            P[0] = 1.0
+            for k in range(1, deg + 1):
+                P[k] = P[k - 1] * Xt
+            mono = P[:, 0][exps[:, 0]]
+            for j in range(1, self.n):
+                mono *= P[:, j][exps[:, j]]
+            out[lo : lo + EVAL_BLOCK] = mono.T @ self.coeffs
+        return out
 
     def partial_derivative(self, j: int) -> AlgPolynomial:
         if not 0 <= j < self.n:

@@ -1,8 +1,8 @@
 """Numerical verification of the reproduction and representation formulas.
 
 boundary_reproduce integrates f(y) * sum_j Flux^j(y; x) nu_j over a sphere
-and compares against f(x); verify_representation subtracts the volume term
-that carries the condition defect of a general C^1 function; and
+and compares against f(x); verify_representation subtracts a volume term
+that carries the condition defect of a C^1 function; and
 derivative_via_kernel differentiates the kernel in the pole to recover
 first derivatives together with an empirical Cauchy-type bound.
 
@@ -10,14 +10,18 @@ The boundary and derivative terms read the kernel only through its coupling
 c: the normal-contracted flux at a node is sum_{j,i} nu_j X_i c[j, i] /
 (Vol(B_n) r^n) with X = y - x, which holds in every algebra because the
 product is bilinear and f multiplies the flux only after it is summed.  The
-volume term keeps the weights b: its integrand is sum_m t_m * phi_m with
-t_m = sum_j (df/dy_j) * a[m, j], and (t a) b differs from t (a b) when the
-algebra is not associative.
+volume term is written with the weights b: its integrand is
+sum_m t_m * phi_m with t_m = sum_j (df/dy_j) * a[m, j].  Stokes' theorem
+gives the volume integrand sum_j (df/dy_j) * Flux^j, and rewriting that as
+the b-form uses (t a) b = t (a b), so the b-form is exact only in
+associative algebras; in a non-associative one verify_representation
+misses f(x) (by 0.16 on an octonion set at n = 3).
 
 Every sum over nodes runs in blocks of CHUNK nodes: one (dim, dim) Gram
 matrix per block, contracted with the structure constants, and the block
 partials added in order, so the result does not depend on the BLAS thread
-count.  MAX_QUADRATURE_NODES caps the nodes of any rule before it is built.
+count.  MAX_QUADRATURE_NODES caps the nodes of any rule before it is built,
+and MAX_AXIS_NODES the nodes per axis of a Gauss rule.
 """
 from __future__ import annotations
 
@@ -33,6 +37,7 @@ from .solutions import _eval_function, condition_values
 
 MIN_NODES = 8
 MAX_QUADRATURE_NODES = 2**22
+MAX_AXIS_NODES = math.isqrt(MAX_QUADRATURE_NODES)
 CHUNK = 4096
 
 
@@ -138,38 +143,39 @@ def sphere_area(n: int, radius: float = 1.0) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0) * radius ** (n - 1)
 
 
-def _gauss_on(a: float, b: float, k: int):
-    t, w = np.polynomial.legendre.leggauss(k)
-    return 0.5 * (b - a) * t + 0.5 * (a + b), 0.5 * (b - a) * w
-
-
 def _sphere_directions_gauss(n: int, k: int):
-    """Unit directions and weights with sum(w) = area of the unit sphere."""
+    """Unit directions and weights with sum(w) = area of the unit sphere.
+
+    Product Gauss-Legendre rule in hyperspherical angles: n - 2 polar angles
+    on [0, pi] and the azimuth on [0, 2 pi], all mapped from one leggauss(k)
+    rule.  Cosines, sines and weights are taken per axis (k values each) and
+    broadcast onto the (k,)*(n-1) grid in C order, the factors multiplied in
+    axis order.
+    """
     if n == 1:
         return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
-    polar = [_gauss_on(0.0, math.pi, k) for _ in range(n - 2)]
-    azim = _gauss_on(0.0, 2.0 * math.pi, k)
-    grids = np.meshgrid(
-        *[p[0] for p in polar], azim[0], indexing="ij"
-    )
-    wgrids = np.meshgrid(
-        *[p[1] for p in polar], azim[1], indexing="ij"
-    )
-    angles = np.stack([g.ravel() for g in grids], axis=1)
-    w = np.ones(angles.shape[0])
-    for g in wgrids:
-        w = w * g.ravel()
-    N = angles.shape[0]
-    omega = np.empty((N, n))
-    sin_prod = np.ones(N)
-    for axis in range(n - 1):
-        omega[:, axis] = sin_prod * np.cos(angles[:, axis])
-        sin_prod = sin_prod * np.sin(angles[:, axis])
+    t, wt = np.polynomial.legendre.leggauss(k)
+    half_pi = 0.5 * math.pi
+    axes = [(half_pi * t + half_pi, half_pi * wt)] * (n - 2)
+    axes.append((math.pi * t + math.pi, math.pi * wt))
+
+    def on_axis(values, axis):
+        return values.reshape([k if a == axis else 1 for a in range(n - 1)])
+
+    w = np.ones(())
+    for axis, (_, weights) in enumerate(axes):
+        w = w * on_axis(weights, axis)
+    omega = np.empty((k,) * (n - 1) + (n,))
+    sin_prod = np.ones(())
+    for axis, (theta, _) in enumerate(axes):
+        sin_theta = np.sin(theta)
+        omega[..., axis] = sin_prod * on_axis(np.cos(theta), axis)
+        sin_prod = sin_prod * on_axis(sin_theta, axis)
         # surface density: sin^{n-1-axis-1}(theta_axis) extra powers
         if axis < n - 2:
-            w = w * np.sin(angles[:, axis]) ** (n - 2 - axis)
-    omega[:, n - 1] = sin_prod
-    return omega, w
+            w = w * on_axis(sin_theta ** (n - 2 - axis), axis)
+    omega[..., n - 1] = sin_prod
+    return omega.reshape(-1, n), w.ravel()
 
 
 def _sphere_directions_mc(n: int, total: int, seed: int):
@@ -184,9 +190,16 @@ def _sphere_directions_mc(n: int, total: int, seed: int):
 def _unit_directions(n: int, spec: QuadratureSpec, per_direction: int = 1):
     """Unit directions and weights of the sphere_rule(n) rule, built only
     after checking that directions * per_direction nodes fit in
-    MAX_QUADRATURE_NODES."""
+    MAX_QUADRATURE_NODES and, for the Gauss rule, that the nodes per axis fit
+    in MAX_AXIS_NODES."""
     gauss = sphere_rule(n) == "product_gauss"
     if gauss:
+        # leggauss(k) solves a k x k eigenproblem: bound k before the rule
+        if spec.nodes > MAX_AXIS_NODES:
+            raise QuadratureTooLarge(
+                f"rule needs {spec.nodes} nodes per axis; "
+                f"the limit is {MAX_AXIS_NODES}"
+            )
         count = 2 if n == 1 else spec.nodes ** (n - 1)
     else:
         count = 2 * (spec.nodes // 2)
@@ -204,7 +217,8 @@ def sphere_quadrature(domain: BallDomain, spec: QuadratureSpec):
     """Nodes y, outward unit normals nu, and weights w with sum(w) = area."""
     n = domain.n
     omega, w = _unit_directions(n, spec)
-    Y = domain.center[None, :] + domain.radius * omega
+    Y = domain.radius * omega
+    Y += domain.center
     return Y, omega, w * domain.radius ** (n - 1)
 
 
@@ -390,10 +404,13 @@ def verify_representation(
     spec: QuadratureSpec,
     target_error: float | None = None,
 ) -> ReproductionReport:
-    """Boundary term minus volume term for a general C^1 function.
+    """Boundary term minus volume term for a C^1 function.
 
     The volume integrand carries the condition defect t_m of f, so the
-    difference reproduces f(x) without f being a solution.
+    difference reproduces f(x) without f being a solution.  The volume term
+    is the b-form sum_m t_m * phi_m, which equals the Stokes integrand
+    sum_j (df/dy_j) * Flux^j only in associative algebras; in a
+    non-associative algebra the difference is not f(x).
     """
     x = _inside_point(x, domain, kernel)
 
@@ -443,7 +460,8 @@ def derivative_via_kernel(
     # empirical Cauchy-estimate constant: spectral norms of the matrices of
     # right multiplication by each node's flux
     right_mult = np.einsum("ijk,tj->tki", gamma, flux)
-    norms = np.linalg.norm(right_mult, 2, axis=(1, 2))
+    gram = np.swapaxes(right_mult, 1, 2) @ right_mult
+    norms = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
     M = domain.radius * float(np.sum(w * norms))
     sup_f = float(np.max(np.linalg.norm(fv, axis=1)))
     bound = M * sup_f / domain.radius

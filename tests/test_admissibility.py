@@ -262,6 +262,13 @@ def test_condition_a_consistency_measures_inconsistent_data(algebra, consistency
     assert rep.c_consistency == pytest.approx(consistency, abs=1e-12)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan], ids=["zero", "negative", "nan"])
+def test_condition_a_tolerance_rejected_by_name(bad):
+    cond = a_differentiable_conditions(builtin("tessarine"))
+    with pytest.raises(ValueError, match="tol must be positive"):
+        commutative_condition_A(cond, tol=bad)
+
+
 def test_condition_a_errors():
     with pytest.raises(NotCommutative):
         commutative_condition_A(fueter_conditions())

@@ -276,6 +276,20 @@ def test_reproduce_rule_over_node_budget_fails(runner):
     assert "limit" in result.output
 
 
+def test_reproduce_gauss_axis_over_limit_fails(runner, monkeypatch):
+    # 10^5 nodes on one axis fit the node budget at n = 2; leggauss must not
+    # be reached, since it would build a 10^5 x 10^5 matrix
+    def refuse(k):
+        raise AssertionError(f"leggauss({k}) called")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+    result = runner.invoke(
+        main, ["reproduce", "dbar", "-f", "z", "--point", "0.1,0", "--nodes", "100000"]
+    )
+    assert result.exit_code == 1
+    assert "limit" in result.output
+
+
 @pytest.mark.parametrize("args", [
     ["reproduce", "fueter", "-f", "zeta1", "--point", "0.1,0.2,0,0", "--nodes", "32"],
     ["cr-solve", "m2r_q3"],

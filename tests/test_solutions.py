@@ -6,6 +6,7 @@ from hypercauchy.algebra import AlgElem, builtin
 from hypercauchy.families import dbar_conditions, fueter_conditions, gallery
 from hypercauchy.solutions import (
     DEFAULT_FD_STEP,
+    EVAL_BLOCK,
     AlgPolynomial,
     apply_cr_operator,
     condition_values,
@@ -173,6 +174,11 @@ def test_eval_batch_names_width_mismatch():
         apply_cr_operator(fueter_conditions(), p, np.zeros(4))
 
 
+def test_polynomial_needs_a_variable():
+    with pytest.raises(ValueError, match="at least one variable"):
+        AlgPolynomial(builtin("complex"), np.zeros((1, 0), dtype=int), [[1.0, 0.0]])
+
+
 # -- parity with the per-point condition operator -------------------------------
 
 
@@ -219,3 +225,45 @@ def test_condition_values_match_per_point_operator(case):
     got = condition_values(C, smooth, Y)
     ref = np.stack([_apply_cr_operator_per_point(C, smooth, y) for y in Y])
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+# -- power-table evaluation against the float-pow oracle ----------------------
+
+
+def _pow_oracle(p, X):
+    """Per-node float pow: the evaluation eval_batch replaced."""
+    return np.prod(X[:, None, :] ** p.exponents[None, :, :], axis=2) @ p.coeffs
+
+
+def _assert_matches_oracle(p, X):
+    got = p.eval_batch(X)
+    want = _pow_oracle(p, X)
+    # relative to the sum of absolute terms, so cancellation cannot hide
+    # an error or fake one
+    scale = np.abs(np.prod(X[:, None, :] ** p.exponents, axis=2)) @ np.abs(p.coeffs)
+    assert got.shape == want.shape == (X.shape[0], p.table.dim)
+    assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_eval_batch_matches_pow_oracle(n):
+    rng = np.random.default_rng(n)
+    table = builtin("quaternion")
+    totals = rng.integers(0, 7, size=20)
+    exps = np.array([rng.multinomial(t, np.full(n, 1.0 / n)) for t in totals])
+    p = AlgPolynomial(table, exps, rng.normal(size=(len(exps), 4)))
+    assert p.exponents.sum(axis=1).max() <= 6
+    _assert_matches_oracle(p, rng.uniform(-1.5, 1.5, size=(2 * EVAL_BLOCK + 57, n)))
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_eval_batch_constant_and_empty_inputs(n):
+    table = builtin("complex")
+    const = AlgPolynomial.constant(table, n, [2.0, -1.0])
+    X = np.random.default_rng(0).normal(size=(5, n))
+    np.testing.assert_array_equal(const.eval_batch(X), np.tile([2.0, -1.0], (5, 1)))
+    _assert_matches_oracle(const, X)
+    cubic = AlgPolynomial(table, np.full((1, n), 3) * (np.arange(n) == 0),
+                          [[1.0, 0.5]])
+    for p in (const, cubic):
+        assert p.eval_batch(np.zeros((0, n))).shape == (0, 2)

@@ -8,6 +8,7 @@ from hypercauchy.kernel import CauchyKernel
 from hypercauchy.solutions import AlgPolynomial, apply_cr_operator
 from hypercauchy.verify import (
     CHUNK,
+    MAX_AXIS_NODES,
     BallDomain,
     DerivativeReport,
     PointOutsideDomain,
@@ -16,6 +17,7 @@ from hypercauchy.verify import (
     QuadratureUnderResolved,
     _boundary_sum,
     _derivative_flux,
+    _sphere_directions_gauss,
     _volume_sum,
     boundary_reproduce,
     derivative_via_kernel,
@@ -427,6 +429,89 @@ def test_node_budget_checked_before_allocation():
     assert sphere_quadrature(D, spec)[0].shape == (46**3, 4)
     with pytest.raises(QuadratureTooLarge):
         verify_representation(_zeta1(), np.zeros(4), D, _fueter_kernel(), spec)
+
+
+def test_gauss_nodes_per_axis_bounded_before_leggauss(monkeypatch):
+    # one axis of 10^5 nodes fits the node budget, but leggauss would build
+    # a 10^5 x 10^5 companion matrix
+    def refuse(k):
+        raise AssertionError(f"leggauss({k}) called")
+
+    assert MAX_AXIS_NODES == 2048
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+    for n in (1, 2):  # at n = 1 only the volume rule calls leggauss
+        with pytest.raises(QuadratureTooLarge, match="limit is 2048"):
+            sphere_quadrature(BallDomain(np.zeros(n), 1.0),
+                              QuadratureSpec(nodes=MAX_AXIS_NODES + 1))
+    D = BallDomain(np.zeros(2), 1.0)
+    with pytest.raises(AssertionError, match="leggauss"):
+        sphere_quadrature(D, QuadratureSpec(nodes=MAX_AXIS_NODES))
+    with pytest.raises(QuadratureTooLarge):
+        boundary_reproduce(_z(), [0.1, 0.0], D, _complex_kernel(),
+                           QuadratureSpec(nodes=10**5))
+
+
+# -- the product Gauss rule against its per-node construction -----------------
+
+
+def _per_node_gauss(n, k):
+    """The rule as built before: trig and weight products on every node."""
+    def gauss_on(a, b):
+        t, w = np.polynomial.legendre.leggauss(k)
+        return 0.5 * (b - a) * t + 0.5 * (a + b), 0.5 * (b - a) * w
+
+    if n == 1:
+        return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
+    axes = [gauss_on(0.0, np.pi) for _ in range(n - 2)]
+    axes.append(gauss_on(0.0, 2.0 * np.pi))
+    grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
+    wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
+    angles = np.stack([g.ravel() for g in grids], axis=1)
+    w = np.ones(angles.shape[0])
+    for g in wgrids:
+        w = w * g.ravel()
+    omega = np.empty((angles.shape[0], n))
+    sin_prod = np.ones(angles.shape[0])
+    for axis in range(n - 1):
+        omega[:, axis] = sin_prod * np.cos(angles[:, axis])
+        sin_prod = sin_prod * np.sin(angles[:, axis])
+        if axis < n - 2:
+            w = w * np.sin(angles[:, axis]) ** (n - 2 - axis)
+    omega[:, n - 1] = sin_prod
+    return omega, w
+
+
+@pytest.mark.parametrize("k", [8, 13, 32])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sphere_directions_match_per_node_construction(n, k):
+    omega, w = _sphere_directions_gauss(n, k)
+    ref_omega, ref_w = _per_node_gauss(n, k)
+    assert np.array_equal(omega, ref_omega)
+    np.testing.assert_allclose(w, ref_w, rtol=0, atol=1e-15)
+
+
+# -- the derivative bound constant against batched SVD norms -------------------
+
+
+@pytest.mark.parametrize("name,nodes", [
+    ("fueter", 12), ("octonion_single", 2000), ("sedenion_single", 2000),
+    # right multiplication is a scaled isometry in the three above, so all
+    # its singular values agree; in m2r_q3 the largest one stands alone
+    ("m2r_q3", 12),
+])
+def test_bound_constant_matches_svd_norms(name, nodes):
+    K = CauchyKernel.from_conditions(next(c for c in gallery() if c.name == name).build())
+    n, dim = K.n, K.table.dim
+    D = BallDomain(np.zeros(n), 1.5)
+    spec = QuadratureSpec(nodes=nodes, seed=4)
+    x = np.linspace(-0.2, 0.3, n)
+    f = AlgPolynomial.constant(K.table, n, np.linspace(1.0, 2.0, dim))
+    rep = derivative_via_kernel(f, x, n - 1, D, K, spec)
+    Y, nu, w = sphere_quadrature(D, spec)
+    flux = _derivative_flux(Y - x, nu, n - 1, K)
+    right_mult = np.einsum("ijk,tj->tki", K.table.gamma, flux)
+    ref = D.radius * np.sum(w * np.linalg.norm(right_mult, 2, axis=(1, 2)))
+    assert rep.bound_constant == pytest.approx(ref, rel=1e-13)
 
 
 # -- parity with the per-node b-form sums ---------------------------------------
