@@ -151,6 +151,17 @@ class CauchyKernel:
     def table(self) -> AlgebraTable:
         return self.conditions.table
 
+    @property
+    def coupling_conditions(self) -> CRConditionSet:
+        """The coupling conditions sum_j (df/dx_j) * c[j, i] = 0, one per i.
+
+        The kernel reproduces exactly their solutions, in every algebra.  In
+        an associative one they follow from the conditions a (c[j, i] sums
+        a[m, j] * b[m, i]); in a non-associative one their solutions can be a
+        strict subspace of the a-solutions.
+        """
+        return CRConditionSet(self.table, self.n, self.n, self.c.transpose(1, 0, 2))
+
     @classmethod
     def from_conditions(cls, conditions: CRConditionSet,
                         tol: float = DEFAULT_TOL) -> CauchyKernel:

@@ -9,11 +9,15 @@ with phi_m(x, y) = sum_i b[m, i] (y_i - x_i).  The second form holds in
 every algebra, associative or not, because the product is bilinear and
 c[j, i] = Vol(B_n) sum_m a[m, j] * b[m, i]; so the coupling c is all the
 kernel needs.  Contracting the field with the outward normal of a domain
-boundary and integrating reproduces solutions.  The kernel itself,
+boundary and integrating reproduces the solutions of the coupling conditions
+sum_j (df/dx_j) * c[j, i] = 0; in an associative algebra these include every
+solution of the conditions a.  The kernel itself,
 CauchyKernel (conditions, b and c), lives in admissibility beside the
 solvers that return it.
 """
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -33,6 +37,13 @@ def _point(kernel: CauchyKernel, name: str, v) -> np.ndarray:
     return v
 
 
+def _finite_point(kernel: CauchyKernel, name: str, v) -> np.ndarray:
+    v = _point(kernel, name, v)
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"point {name} must be finite, got {v.tolist()}")
+    return v
+
+
 def _check_off_diagonal(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     diff = y - x
     r = float(np.linalg.norm(diff))
@@ -44,14 +55,21 @@ def _check_off_diagonal(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def phi(kernel: CauchyKernel, m: int, x, y) -> AlgElem:
     """The linear form phi_m(x, y) = sum_i b[m, i] (y_i - x_i); zero at y = x."""
-    x, y = _point(kernel, "x", x), _point(kernel, "y", y)
+    q = kernel.conditions.q
+    try:
+        m = operator.index(m)
+    except TypeError:
+        raise ValueError(f"form index m must be an integer, got {m!r}") from None
+    if not 0 <= m < q:
+        raise ValueError(f"form index m must be in 0..{q - 1}, got {m}")
+    x, y = _finite_point(kernel, "x", x), _finite_point(kernel, "y", y)
     coeffs = np.einsum("i,id->d", y - x, kernel.b[m])
     return AlgElem(kernel.table, coeffs)
 
 
 def kernel_field(kernel: CauchyKernel, x, y) -> list[AlgElem]:
     """The n flux components Flux^j(y; x); raises OnDiagonal at y = x."""
-    x, y = _point(kernel, "x", x), _point(kernel, "y", y)
+    x, y = _finite_point(kernel, "x", x), _finite_point(kernel, "y", y)
     diff = _check_off_diagonal(x, y)
     scale = ball_volume(kernel.n) * float(np.linalg.norm(diff)) ** kernel.n
     flux = np.einsum("i,jie->je", diff, kernel.c) / scale
@@ -60,11 +78,13 @@ def kernel_field(kernel: CauchyKernel, x, y) -> list[AlgElem]:
 
 def kernel_field_batch(kernel: CauchyKernel, x, Y) -> np.ndarray:
     """Flux components at many points: returns (N, n, dim)."""
-    x = _point(kernel, "x", x)
+    x = _finite_point(kernel, "x", x)
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[1] != kernel.n:
         raise ValueError(f"points Y have shape {Y.shape} but the kernel has "
                          f"{kernel.n} variables")
+    if not np.all(np.isfinite(Y)):
+        raise ValueError("points Y must be finite")
     diff = Y - x[None, :]
     r2 = np.sum(diff * diff, axis=1)
     if np.any(r2 == 0.0):
@@ -85,7 +105,7 @@ def closedness_residual(kernel: CauchyKernel, x, y) -> float:
     with P_m(X) = sum_j X_j a[m,j]; it holds exactly iff the weights solve
     the bilinear constraints.
     """
-    x, y = _point(kernel, "x", x), _point(kernel, "y", y)
+    x, y = _finite_point(kernel, "x", x), _finite_point(kernel, "y", y)
     diff = _check_off_diagonal(x, y)
     n = kernel.n
     r2 = float(diff @ diff)

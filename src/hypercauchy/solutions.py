@@ -106,35 +106,20 @@ class AlgPolynomial:
         return AlgElem(self.table, self.eval_batch(np.atleast_2d(x))[0])
 
     def eval_batch(self, X) -> np.ndarray:
-        """Values at many points: X (N, n) -> (N, dim).
+        """Values at many points: X (N, n) -> (N, dim), read off the power
+        tables of _power_tables."""
+        X = self._points(X)
+        out = np.empty((X.shape[0], self.table.dim))
+        for block, P in _power_tables(X, self.exponents):
+            out[block] = _monomials(P, self.exponents).T @ self.coeffs
+        return out
 
-        Reads a power table P of shape (deg+1, n, N) with P[0] = 1 and
-        P[k] = P[k-1] * X.T, so P[k, j] holds x_j^k at every point.  The
-        monomial values, shape (M, N), are the products over j of the rows
-        P[exponents[:, j], j]: deg multiplications per variable build every
-        power, instead of a float pow per point, monomial and variable.  The
-        points go through in blocks of EVAL_BLOCK, so the table and the
-        monomial values stay small; every row of the result depends on its
-        own point only.
-        """
+    def _points(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.ndim != 2 or X.shape[1] != self.n:
             raise ValueError(f"points have shape {X.shape} but the polynomial "
                              f"has {self.n} variables")
-        exps = self.exponents
-        deg = int(exps.max(initial=0))
-        out = np.empty((X.shape[0], self.table.dim))
-        for lo in range(0, X.shape[0], EVAL_BLOCK):
-            Xt = X[lo : lo + EVAL_BLOCK].T
-            P = np.empty((deg + 1,) + Xt.shape)
-            P[0] = 1.0
-            for k in range(1, deg + 1):
-                P[k] = P[k - 1] * Xt
-            mono = P[:, 0][exps[:, 0]]
-            for j in range(1, self.n):
-                mono *= P[:, j][exps[:, j]]
-            out[lo : lo + EVAL_BLOCK] = mono.T @ self.coeffs
-        return out
+        return X
 
     def partial_derivative(self, j: int) -> AlgPolynomial:
         if not 0 <= j < self.n:
@@ -189,6 +174,35 @@ class AlgPolynomial:
         return out.ravel()
 
 
+def _power_tables(X: np.ndarray, exps: np.ndarray):
+    """(block, P) for each EVAL_BLOCK rows of the (N, n) points X.
+
+    P has shape (deg+1, n, B) with P[0] = 1 and P[k] = P[k-1] * X.T, so
+    P[k, j] holds x_j^k at every point of the block: deg multiplications per
+    variable build every power the exponents exps ask for, instead of a float
+    pow per point, monomial and variable.  Blocks keep the table and the
+    monomial values small; every row of a result depends on its own point
+    only.
+    """
+    deg = int(exps.max(initial=0))
+    for lo in range(0, X.shape[0], EVAL_BLOCK):
+        Xt = X[lo : lo + EVAL_BLOCK].T
+        P = np.empty((deg + 1,) + Xt.shape)
+        P[0] = 1.0
+        for k in range(1, deg + 1):
+            P[k] = P[k - 1] * Xt
+        yield slice(lo, lo + EVAL_BLOCK), P
+
+
+def _monomials(P: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """Monomial values (M, B): the products over j of the power-table rows
+    P[exps[:, j], j]."""
+    mono = P[:, 0][exps[:, 0]]
+    for j in range(1, exps.shape[1]):
+        mono *= P[:, j][exps[:, j]]
+    return mono
+
+
 def _eval_function(f, Y: np.ndarray, dim: int) -> np.ndarray:
     """Values of f at the rows of Y: (N, dim).
 
@@ -205,24 +219,45 @@ def _eval_function(f, Y: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
+def gradient_values(f, Y, dim: int) -> np.ndarray:
+    """The partial derivatives df/dy_j at each row of Y: (N, n, dim).
+
+    Exact for AlgPolynomial: df/dy_j sums alpha_j c x^(alpha - e_j) over the
+    monomials with alpha_j > 0, read off the same power tables as eval_batch.
+    Central differences of step DEFAULT_FD_STEP (order h^2) of _eval_function
+    otherwise.  Every derivative is written into one (N, n, dim) array.
+    """
+    if isinstance(f, AlgPolynomial):
+        Y, exps = f._points(Y), f.exponents
+        out = np.empty((Y.shape[0], f.n, dim))
+        terms = [(exps[rows] - np.eye(f.n, dtype=int)[j],
+                  f.coeffs[rows] * exps[rows, j : j + 1])
+                 for j, rows in enumerate(exps.T > 0)]
+        for block, P in _power_tables(Y, exps):
+            for j, (lowered, coeffs) in enumerate(terms):
+                out[block, j] = _monomials(P, lowered).T @ coeffs
+        return out
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    n = Y.shape[1]
+    out = np.empty((Y.shape[0], n, dim))
+    step = DEFAULT_FD_STEP * np.eye(n)
+    for j in range(n):
+        out[:, j] = (_eval_function(f, Y + step[j], dim)
+                     - _eval_function(f, Y - step[j], dim)) / (2.0 * DEFAULT_FD_STEP)
+    return out
+
+
 def condition_values(conditions: CRConditionSet, f, Y) -> np.ndarray:
     """The q condition values sum_j (df/dy_j) * a[m, j] at each row of Y.
 
-    Returns (N, q, dim).  Exact derivatives for AlgPolynomial; central
-    differences of step h = DEFAULT_FD_STEP (order h^2) of _eval_function
-    otherwise.
+    Returns (N, q, dim): gradient_values contracted with a.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    n, dim = conditions.n, conditions.table.dim
-    if isinstance(f, AlgPolynomial):
-        derivs = [f.partial_derivative(j).eval_batch(Y) for j in range(n)]
-    else:
-        step = DEFAULT_FD_STEP * np.eye(n)
-        derivs = [(_eval_function(f, Y + step[j], dim)
-                   - _eval_function(f, Y - step[j], dim)) / (2.0 * DEFAULT_FD_STEP)
-                  for j in range(n)]
-    return np.einsum("tjs,mjd,sdk->tmk", np.stack(derivs, axis=1), conditions.a,
-                     conditions.table.gamma, optimize=True)
+    if Y.ndim != 2 or Y.shape[1] != conditions.n:
+        raise ValueError(f"points have shape {Y.shape} but the conditions have "
+                         f"{conditions.n} variables")
+    return np.einsum("tjs,mjd,sdk->tmk", gradient_values(f, Y, conditions.table.dim),
+                     conditions.a, conditions.table.gamma, optimize=True)
 
 
 def apply_cr_operator(
@@ -254,6 +289,8 @@ class PolySolutionBasis:
 
     def max_violation(self, samples: int = 50, seed: int = 0) -> float:
         """Largest |condition value| over basis elements at random points."""
+        if samples < 1:
+            raise ValueError("samples must be >= 1")
         rng = np.random.default_rng(seed)
         pts = rng.normal(size=(samples, self.conditions.n))
         values = [condition_values(self.conditions, f, pts) for f in self.basis]

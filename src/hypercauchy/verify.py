@@ -6,22 +6,25 @@ that carries the condition defect of a C^1 function; and
 derivative_via_kernel differentiates the kernel in the pole to recover
 first derivatives together with an empirical Cauchy-type bound.
 
-The boundary and derivative terms read the kernel only through its coupling
-c: the normal-contracted flux at a node is sum_{j,i} nu_j X_i c[j, i] /
-(Vol(B_n) r^n) with X = y - x, which holds in every algebra because the
-product is bilinear and f multiplies the flux only after it is summed.  The
-volume term is written with the weights b: its integrand is
-sum_m t_m * phi_m with t_m = sum_j (df/dy_j) * a[m, j].  Stokes' theorem
-gives the volume integrand sum_j (df/dy_j) * Flux^j, and rewriting that as
-the b-form uses (t a) b = t (a b), so the b-form is exact only in
-associative algebras; in a non-associative one verify_representation
-misses f(x) (by 0.16 on an octonion set at n = 3).
+Every term reads the kernel through its coupling c alone, with
+Flux^j(y; x) = sum_i X_i c[j, i] / (Vol(B_n) r^n) and X = y - x.  Stokes'
+theorem gives
 
-Every sum over nodes runs in blocks of CHUNK nodes: one (dim, dim) Gram
-matrix per block, contracted with the structure constants, and the block
-partials added in order, so the result does not depend on the BLAS thread
-count.  MAX_QUADRATURE_NODES caps the nodes of any rule before it is built,
-and MAX_AXIS_NODES the nodes per axis of a Gauss rule.
+    int_dB f (Flux . nu) = f(x) + int_B sum_j (df/dy_j) * Flux^j
+
+in every algebra, because it uses only bilinearity.  So the boundary and the
+volume integrals are the same contraction of a moment tensor
+M[j, i, s] = sum_t w_t X_ti G_tjs / r_t^n with c and the structure
+constants: G = nu_j f_s on the boundary, G = df_s/dy_j in the volume.
+boundary_reproduce and derivative_via_kernel check that f solves the
+coupling conditions sum_j (df/dy_j) * c[j, i] = 0 near x; these are the
+functions the kernel reproduces.  In an associative algebra they follow from
+the conditions a; in a non-associative one they can be stronger.
+
+Every sum over nodes runs in blocks of CHUNK nodes, one GEMM per block, and
+the block partials are added in order, so the result does not depend on the
+BLAS thread count.  MAX_QUADRATURE_NODES caps the nodes of any rule before
+it is built, and MAX_AXIS_NODES the nodes per axis of a Gauss rule.
 """
 from __future__ import annotations
 
@@ -33,7 +36,7 @@ import numpy as np
 
 from .algebra import AlgElem, ball_volume
 from .kernel import CauchyKernel, _point
-from .solutions import _eval_function, condition_values
+from .solutions import _eval_function, condition_values, gradient_values
 
 MIN_NODES = 8
 MAX_QUADRATURE_NODES = 2**22
@@ -99,8 +102,13 @@ class QuadratureSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.nodes < MIN_NODES:
+        try:
+            nodes = operator.index(self.nodes)
+        except TypeError:
+            raise ValueError(f"nodes must be an integer, got {self.nodes!r}") from None
+        if nodes < MIN_NODES:
             raise ValueError(f"nodes must be >= {MIN_NODES}")
+        object.__setattr__(self, "nodes", nodes)
 
 
 def _partner_spec(spec: QuadratureSpec) -> QuadratureSpec:
@@ -237,15 +245,20 @@ def _inside_point(x, domain: BallDomain, kernel: CauchyKernel) -> np.ndarray:
 
 def _check_is_solution(f, kernel: CauchyKernel, x: np.ndarray,
                        domain: BallDomain) -> None:
+    """Refuse f unless it solves the coupling conditions near x.
+
+    The defect is scaled by n, since n c has e_0 on its diagonal.
+    """
     gap = domain.radius - float(np.linalg.norm(x - domain.center))
     steps = 0.25 * gap * np.eye(kernel.n)
     pts = np.vstack([x, x + steps, x - steps])
     scale = max(1.0, float(np.max(np.abs(_eval_function(f, pts, kernel.table.dim)))))
-    values = condition_values(kernel.conditions, f, pts)
-    worst = float(np.max(np.linalg.norm(values, axis=2)))
+    values = condition_values(kernel.coupling_conditions, f, pts)
+    worst = kernel.n * float(np.max(np.linalg.norm(values, axis=2)))
     if worst > 1e-4 * scale:
         raise ValueError(
-            f"f violates the Cauchy conditions near x (defect {worst:.3e}); "
+            f"f violates the Cauchy conditions near x in their coupling form "
+            f"sum_j (df/dy_j) * c[j, i] = 0 (defect {worst:.3e}); "
             "use verify_representation for general C^1 functions"
         )
 
@@ -269,29 +282,41 @@ def _normal_flux(nu: np.ndarray, X: np.ndarray, kernel: CauchyKernel) -> np.ndar
     return (nu[:, :, None] * X[:, None, :]).reshape(-1, n * n) @ coupling
 
 
-def _boundary_sum(fv, X, nu, w, kernel: CauchyKernel) -> np.ndarray:
-    """sum_t w_t f(y_t) * _normal_flux_t / r_t^n with X = y - x; fv is (N, dim)."""
+def _moments(X, w, n: int, product) -> np.ndarray:
+    """Sum over CHUNK-node blocks of product(block, WX), added in block order.
 
-    def gram(block):
+    WX[t, i] = w_t X_ti / r_t^n holds the weighted offsets of the block.
+    """
+    partials = []
+    for lo in range(0, len(w), CHUNK):
+        block = slice(lo, lo + CHUNK)
         Xb = X[block]
-        scale = w[block] / np.sum(Xb * Xb, axis=1) ** (kernel.n / 2.0)
-        return (scale[:, None] * fv[block]).T @ _normal_flux(nu[block], Xb, kernel)
+        scale = w[block] / np.sum(Xb * Xb, axis=1) ** (n / 2.0)
+        partials.append(product(block, scale[:, None] * Xb))
+    return np.sum(partials, axis=0)
 
-    return _blocked_product(len(w), gram, kernel.table.gamma)
+
+def _boundary_moments(fv, X, nu, w, n: int) -> np.ndarray:
+    """M[j, i, s] = sum_t w_t X_ti nu_tj f_s(y_t) / r_t^n; fv is (N, dim).
+
+    One (B, n^2)^T @ (B, dim) GEMM per block.
+    """
+    M = _moments(X, w, n, lambda block, WX: (
+        (nu[block, :, None] * WX[:, None, :]).reshape(-1, n * n).T @ fv[block]))
+    return M.reshape(n, n, -1)
 
 
-def _volume_sum(tv, X, w, kernel: CauchyKernel) -> np.ndarray:
-    """sum_t w_t sum_m t_m(y_t) * phi_m(x, y_t) / r_t^n; tv is (N, q, dim)."""
-    dim = kernel.table.dim
+def _volume_moments(G, X, w, n: int) -> np.ndarray:
+    """M[j, i, s] = sum_t w_t X_ti G_tjs / r_t^n; G is (N, n, dim)."""
+    M = _moments(X, w, n, lambda block, WX: WX.T @ G[block].reshape(len(WX), -1))
+    return M.reshape(n, n, -1).swapaxes(0, 1)
 
-    def gram(block):
-        Xb = X[block]
-        scale = w[block] / np.sum(Xb * Xb, axis=1) ** (kernel.n / 2.0)
-        phi = np.einsum("ti,mid->tmd", Xb, kernel.b)
-        left = scale[:, None, None] * tv[block]
-        return left.reshape(-1, dim).T @ phi.reshape(-1, dim)
 
-    return _blocked_product(len(w), gram, kernel.table.gamma)
+def _flux_contraction(M: np.ndarray, kernel: CauchyKernel) -> np.ndarray:
+    """sum_{j,i,s,d} M[j, i, s] c[j, i, d] gamma[s, d, k] / Vol(B_n): the
+    integral of sum_j G_j * Flux^j whose moments M are."""
+    return np.einsum("jis,jid,sdk->k", M, kernel.c, kernel.table.gamma,
+                     optimize=True) / ball_volume(kernel.n)
 
 
 def _derivative_flux(X, nu, i: int, kernel: CauchyKernel) -> np.ndarray:
@@ -310,7 +335,8 @@ def _derivative_flux(X, nu, i: int, kernel: CauchyKernel) -> np.ndarray:
 def _boundary_term(f, x, domain, kernel, spec) -> tuple[np.ndarray, int]:
     Y, nu, w = sphere_quadrature(domain, spec)
     fv = _eval_function(f, Y, kernel.table.dim)
-    return _boundary_sum(fv, Y - x[None, :], nu, w, kernel), Y.shape[0]
+    M = _boundary_moments(fv, Y - x[None, :], nu, w, kernel.n)
+    return _flux_contraction(M, kernel), Y.shape[0]
 
 
 def _reproduction_report(f, x, kernel, spec, term,
@@ -367,7 +393,7 @@ def boundary_reproduce(
 
 
 def _volume_term(f, x, domain, kernel, spec) -> tuple[np.ndarray, int]:
-    """Integral of sum_m t_m(y) phi_m(x,y)/r^n over the ball, shell rule.
+    """Integral of sum_j (df/dy_j) * Flux^j(y; x) over the ball, shell rule.
 
     Radial substitution y = x + r*omega: the r^{n-1} Jacobian cancels the
     kernel singularity, leaving a smooth integrand on [0, t(omega)].
@@ -392,8 +418,9 @@ def _volume_term(f, x, domain, kernel, spec) -> tuple[np.ndarray, int]:
     Wflat = W.ravel()
     Xflat = Yflat - x[None, :]
 
-    tv = condition_values(kernel.conditions, f, Yflat)
-    return _volume_sum(tv, Xflat, Wflat, kernel), Yflat.shape[0]
+    G = gradient_values(f, Yflat, kernel.table.dim)
+    M = _volume_moments(G, Xflat, Wflat, n)
+    return _flux_contraction(M, kernel), Yflat.shape[0]
 
 
 def verify_representation(
@@ -406,11 +433,11 @@ def verify_representation(
 ) -> ReproductionReport:
     """Boundary term minus volume term for a C^1 function.
 
-    The volume integrand carries the condition defect t_m of f, so the
-    difference reproduces f(x) without f being a solution.  The volume term
-    is the b-form sum_m t_m * phi_m, which equals the Stokes integrand
-    sum_j (df/dy_j) * Flux^j only in associative algebras; in a
-    non-associative algebra the difference is not f(x).
+    By Stokes' theorem the difference is f(x) in every algebra, without f
+    being a solution: the volume integrand sum_j (df/dy_j) * Flux^j carries
+    the coupling-condition defect of f.  In a non-associative algebra the
+    kernel reproduces, from the boundary alone, the solutions of its
+    coupling conditions sum_j (df/dy_j) * c[j, i] = 0.
     """
     x = _inside_point(x, domain, kernel)
 
@@ -432,12 +459,11 @@ def derivative_via_kernel(
 ) -> DerivativeReport:
     """d f / d x_i from boundary values, via the pole derivative of the kernel.
 
-    d/dx_i [phi_m / r^n] = (-b[m,i] r^2 + n X_i phi_m) / r^{n+2} with
-    X = y - x; contracted with the normal it reads c alone (_derivative_flux),
-    and the integral of f against it returns the i-th partial derivative of
-    f at x.  Also reports the empirical constant M = R * integral of the
-    spectral norm of right-multiplication by the contracted flux, which
-    bounds |df| by M sup|f| / R.
+    The pole derivative of the normal-contracted flux reads c alone
+    (_derivative_flux), and the integral of f against it returns the i-th
+    partial derivative of f at x.  Also reports the empirical constant
+    M = R * integral of the spectral norm of right-multiplication by the
+    contracted flux, which bounds |df| by M sup|f| / R.
     """
     try:
         i = operator.index(i)

@@ -10,11 +10,15 @@ import pytest
 from click.testing import CliRunner
 
 from hypercauchy.admissibility import save_conditions
+from hypercauchy.algebra import builtin
 from hypercauchy.cli import main
 from hypercauchy.families import (
     random_invertible_single_condition,
     sample_dim3_table,
+    single_condition,
 )
+from hypercauchy.kernel import CauchyKernel
+from hypercauchy.solutions import polynomial_solution_basis
 
 ALPHA = 1.0 / (2.0 * np.pi**2)
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -200,6 +204,22 @@ def test_reproduce_non_solution_rejected(runner):
         main, ["reproduce", "dbar", "-f", "y1sq", "--point", "0.2,0.0"]
     )
     assert result.exit_code == 1
+
+
+def test_reproduce_octonion_a_solution_outside_coupling_space_fails(runner, tmp_path):
+    # a degree-1 solution of sum_j (df/dy_j) * e_{k_j} = 0, k = (0, 1, 2), that
+    # the kernel does not reproduce: it violates the coupling conditions
+    C = single_condition(builtin("octonion"), np.eye(8)[[0, 1, 2]])
+    coupling = polynomial_solution_basis(CauchyKernel.from_conditions(C).coupling_conditions, 1)
+    g = next(g for g in polynomial_solution_basis(C, 1) if not coupling.contains(g))
+    conditions, poly = tmp_path / "octonion3.json", tmp_path / "g.json"
+    save_conditions(C, conditions)
+    poly.write_text(json.dumps({"exponents": g.exponents.tolist(),
+                                "coeffs": g.coeffs.tolist()}))
+    result = runner.invoke(main, ["reproduce", str(conditions), "-f", str(poly),
+                                  "--point", "0.1,-0.05,0.05"])
+    assert result.exit_code == 1
+    assert "Cauchy conditions" in result.output and "coupling form" in result.output
 
 
 def test_suite_m2r_passes(runner):

@@ -203,6 +203,29 @@ def test_point_of_wrong_length_rejected_by_name(call):
         call(K, good, short)
 
 
+@pytest.mark.parametrize("call", [
+    lambda K, p, q: phi(K, 0, p, q),
+    kernel_field,
+    lambda K, p, q: kernel_field_batch(K, p, q[None, :]),
+    closedness_residual,
+], ids=["phi", "kernel_field", "kernel_field_batch", "closedness_residual"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_point_rejected_by_name(call, bad):
+    K = _kernel(fueter_conditions)
+    good, broken = np.array([0.1, 0.2, 0.3, 0.4]), np.array([0.5, bad, 0.7, 0.8])
+    with pytest.raises(ValueError, match="x must be finite"):
+        call(K, broken, good)
+    with pytest.raises(ValueError, match="(y|Y) must be finite"):
+        call(K, good, broken)
+
+
+@pytest.mark.parametrize("m", [1, 5, -1, 0.5, "0"])
+def test_phi_form_index_rejected_by_name(m):
+    K = _kernel(fueter_conditions)  # q = 1: the only form is m = 0
+    with pytest.raises(ValueError, match="form index m must be"):
+        phi(K, m, np.zeros(4), np.ones(4))
+
+
 def test_kernel_weights_of_wrong_size_rejected():
     C = dbar_conditions()
     with pytest.raises(ValueError, match="kernel weights b have 3 entries"):

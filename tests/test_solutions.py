@@ -10,6 +10,7 @@ from hypercauchy.solutions import (
     AlgPolynomial,
     apply_cr_operator,
     condition_values,
+    gradient_values,
     monomial_exponents,
     polynomial_solution_basis,
 )
@@ -174,6 +175,12 @@ def test_eval_batch_names_width_mismatch():
         apply_cr_operator(fueter_conditions(), p, np.zeros(4))
 
 
+def test_condition_operator_names_point_width_mismatch():
+    f = lambda y: np.zeros(4)  # noqa: E731  (a callable has no width of its own)
+    with pytest.raises(ValueError, match=r"shape \(1, 3\) but the conditions have 4"):
+        apply_cr_operator(fueter_conditions(), f, np.zeros(3))
+
+
 def test_polynomial_needs_a_variable():
     with pytest.raises(ValueError, match="at least one variable"):
         AlgPolynomial(builtin("complex"), np.zeros((1, 0), dtype=int), [[1.0, 0.0]])
@@ -203,6 +210,31 @@ def _apply_cr_operator_per_point(conditions, f, x, h=DEFAULT_FD_STEP):
 def _random_polynomial(table, n, degree, rng):
     layout = monomial_exponents(n, degree)
     return AlgPolynomial(table, layout, rng.normal(size=(len(layout), table.dim)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_gradient_values_match_partial_derivative_loop(n):
+    rng = np.random.default_rng(n)
+    table = builtin("quaternion")
+    p = _random_polynomial(table, n, 3, rng)
+    Y = rng.uniform(-1.5, 1.5, size=(EVAL_BLOCK + 37, n))
+    got = gradient_values(p, Y, table.dim)
+    ref = np.stack([p.partial_derivative(j).eval_batch(Y) for j in range(n)], axis=1)
+    assert got.shape == (len(Y), n, table.dim)
+    np.testing.assert_array_equal(got, ref)
+    # a variable that appears in no monomial has derivative exactly zero
+    flat = AlgPolynomial(table, np.eye(n, dtype=int)[:1], [[1.0, 2.0, 0.0, 0.0]])
+    assert not gradient_values(flat, Y, table.dim)[:, 1:].any()
+    # callables take central differences of the same values
+    fd = gradient_values(lambda y: p.evaluate(y).coeffs, Y[:5], table.dim)
+    np.testing.assert_allclose(fd, ref[:5], rtol=1e-7, atol=1e-7)
+
+
+def test_max_violation_needs_a_sample():
+    basis = polynomial_solution_basis(dbar_conditions(), 1)
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        basis.max_violation(samples=0)
+    assert basis.max_violation(samples=1) <= 1e-12
 
 
 @pytest.mark.parametrize("case", gallery(), ids=lambda c: c.name)

@@ -2,10 +2,21 @@ import numpy as np
 import pytest
 
 from hypercauchy.admissibility import CRConditionSet, solve_admissibility
-from hypercauchy.algebra import AlgebraTable, builtin
-from hypercauchy.families import dbar_conditions, fueter_conditions, gallery
+from hypercauchy.algebra import AlgebraTable, ball_volume, builtin
+from hypercauchy.families import (
+    dbar_conditions,
+    fueter_conditions,
+    gallery,
+    single_condition,
+)
 from hypercauchy.kernel import CauchyKernel
-from hypercauchy.solutions import AlgPolynomial, apply_cr_operator
+from hypercauchy.solutions import (
+    AlgPolynomial,
+    apply_cr_operator,
+    condition_values,
+    monomial_exponents,
+    polynomial_solution_basis,
+)
 from hypercauchy.verify import (
     CHUNK,
     MAX_AXIS_NODES,
@@ -15,10 +26,11 @@ from hypercauchy.verify import (
     QuadratureSpec,
     QuadratureTooLarge,
     QuadratureUnderResolved,
-    _boundary_sum,
+    _boundary_moments,
     _derivative_flux,
+    _flux_contraction,
     _sphere_directions_gauss,
-    _volume_sum,
+    _volume_moments,
     boundary_reproduce,
     derivative_via_kernel,
     sphere_area,
@@ -90,6 +102,14 @@ def test_monte_carlo_rule_above_four_dims():
     assert Y.shape == (2 * (nodes // 2), 5) and w.shape == (2 * (nodes // 2),)
     assert abs(w.sum() - sphere_area(5)) < 1e-12
     np.testing.assert_allclose(np.linalg.norm(nu, axis=1), 1.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("bad", [10.5, np.nan, "12", None],
+                         ids=["fraction", "nan", "str", "none"])
+def test_quadrature_spec_nodes_must_be_an_integer(bad):
+    with pytest.raises(ValueError, match="nodes must be an integer"):
+        QuadratureSpec(nodes=bad)
+    assert QuadratureSpec(nodes=np.int64(12)).nodes == 12
 
 
 def test_quadrature_spec_validation():
@@ -241,6 +261,20 @@ def test_non_solution_rejected_unless_representation():
     rep = verify_representation(y1sq, x, D, K, QuadratureSpec(nodes=128))
     assert rep.rel_error < 1e-3
     np.testing.assert_allclose(rep.computed.coeffs, [0.04, 0.0], atol=1e-10)
+
+
+def test_coupling_defect_is_on_the_scale_of_the_conditions():
+    # for dbar, sum_j (df/dy_j) * c[j, i] is t * b[0, i] * Vol with |b Vol| =
+    # 1/2, so n times the coupling defect is the defect t of the condition
+    K = _complex_kernel()
+    y1sq = AlgPolynomial.coordinate(K.table, 2, 0) * AlgPolynomial.coordinate(K.table, 2, 0)
+    x = np.array([0.3, 0.1])
+    steps = 0.25 * (1.0 - np.linalg.norm(x)) * np.eye(2)
+    pts = np.vstack([x, x + steps, x - steps])
+    defect = np.linalg.norm(condition_values(K.conditions, y1sq, pts), axis=2).max()
+    with pytest.raises(ValueError, match=rf"coupling form .*\(defect {defect:.3e}\)"):
+        boundary_reproduce(y1sq, x, BallDomain(np.zeros(2), 1.0), K,
+                           QuadratureSpec(nodes=16))
 
 
 def test_representation_reduces_to_boundary_for_solutions():
@@ -514,7 +548,7 @@ def test_bound_constant_matches_svd_norms(name, nodes):
     assert rep.bound_constant == pytest.approx(ref, rel=1e-13)
 
 
-# -- parity with the per-node b-form sums ---------------------------------------
+# -- parity with the per-node sums ----------------------------------------------
 
 
 def _parity_workload(case, seed):
@@ -535,6 +569,8 @@ def _close(got, ref):
 
 @pytest.mark.parametrize("case", FEASIBLE, ids=lambda c: c.name)
 def test_boundary_sum_matches_direct_b_form_sum(case):
+    # sum_m (nu . a_m)(X . b_m) is the normal flux by bilinearity alone, so
+    # this per-node oracle is exact in every algebra
     C, K, rng, X, nu, w = _parity_workload(case, seed=0)
     table, b = C.table, K.b
     fv = rng.normal(size=(PARITY_NODES, table.dim))
@@ -545,20 +581,31 @@ def test_boundary_sum_matches_direct_b_form_sum(case):
             flux += table.mul_coeffs(nu[t] @ C.a[m], X[t] @ b[m])
         ref += w[t] / (X[t] @ X[t]) ** (C.n / 2.0) * table.mul_coeffs(fv[t], flux)
     assert PARITY_NODES > 2 * CHUNK
-    _close(_boundary_sum(fv, X, nu, w, K), ref)
+    _close(_flux_contraction(_boundary_moments(fv, X, nu, w, C.n), K), ref)
 
 
 @pytest.mark.parametrize("case", FEASIBLE, ids=lambda c: c.name)
 def test_volume_sum_matches_direct_b_form_sum(case):
+    # oracle: the Stokes integrand sum_j G_j * Flux^j formed node by node,
+    # with Flux^j = sum_i X_i c[j, i] / (Vol r^n), then summed over nodes; the
+    # b-form sum_m t_m * phi_m with t_m = sum_j G_j * a[m, j] agrees with it
+    # only in associative algebras
     C, K, rng, X, _, w = _parity_workload(case, seed=1)
-    table, b = C.table, K.b
-    tv = rng.normal(size=(PARITY_NODES, C.q, table.dim))
-    ref = np.zeros(table.dim)
-    for t in range(PARITY_NODES):
-        scale = w[t] / (X[t] @ X[t]) ** (C.n / 2.0)
-        for m in range(C.q):
-            ref += scale * table.mul_coeffs(tv[t, m], X[t] @ b[m])
-    _close(_volume_sum(tv, X, w, K), ref)
+    table = C.table
+    G = rng.normal(size=(PARITY_NODES, C.n, table.dim))
+
+    def mul_rows(left, right):  # the algebra product at every node
+        return np.einsum("ts,td,sdk->tk", left, right, table.gamma, optimize=True)
+
+    scale = (w / np.sum(X * X, axis=1) ** (C.n / 2.0))[:, None]
+    flux = np.einsum("ti,jid->tjd", X, K.c) / ball_volume(C.n)
+    ref = sum(scale * mul_rows(G[:, j], flux[:, j]) for j in range(C.n)).sum(axis=0)
+    _close(_flux_contraction(_volume_moments(G, X, w, C.n), K), ref)
+    if table.associative:
+        t = np.einsum("tjs,mjd,sdk->tmk", G, C.a, table.gamma)
+        phi = np.einsum("ti,mid->tmd", X, K.b)
+        b_form = sum(scale * mul_rows(t[:, m], phi[:, m]) for m in range(C.q))
+        _close(b_form.sum(axis=0), ref)
 
 
 @pytest.mark.parametrize("case", FEASIBLE, ids=lambda c: c.name)
@@ -571,3 +618,57 @@ def test_derivative_flux_matches_b_form(case):
     anu = np.einsum("tj,mjd->tmd", nu, C.a)
     ref = np.einsum("tms,tmd,sde->te", anu, dphi, C.table.gamma)
     _close(_derivative_flux(X, nu, i, K), ref)
+
+
+# -- a non-associative kernel reproduces the solutions of its coupling ---------
+
+
+OCTONION_CASES = [(3, 24), (4, 20)]  # (n, nodes per axis)
+OCTONION_POINT = np.array([0.1, -0.05, 0.05, 0.02])
+
+
+def _octonion_kernel(n):
+    """sum_j (df/dy_j) * e_{k_j} = 0 over the octonions, k = (0, 1, 2, 4)[:n]."""
+    C = single_condition(builtin("octonion"), np.eye(8)[[0, 1, 2, 4][:n]])
+    return C, CauchyKernel.from_conditions(C)
+
+
+@pytest.mark.parametrize("n,nodes", OCTONION_CASES)
+def test_octonion_representation(n, nodes):
+    # (df a) b differs from df (a b) here, so only the c-form volume term
+    # gives f(x); the b-form missed by about 0.2
+    C, K = _octonion_kernel(n)
+    rng = np.random.default_rng(n)
+    layout = monomial_exponents(n, 2)
+    f = AlgPolynomial(C.table, layout, rng.normal(size=(len(layout), 8)))
+    rep = verify_representation(f, OCTONION_POINT[:n], BallDomain(np.zeros(n), 1.0),
+                                K, QuadratureSpec(nodes=nodes))
+    assert rep.abs_error <= 1e-10
+
+
+@pytest.mark.parametrize("n,nodes", OCTONION_CASES)
+def test_octonion_coupling_solutions_reproduce(n, nodes):
+    C, K = _octonion_kernel(n)
+    basis = polynomial_solution_basis(K.coupling_conditions, 3)
+    # a strict subspace of the 80 (n = 3) and 160 (n = 4) a-solutions
+    assert (len(basis), len(polynomial_solution_basis(C, 3))) == {
+        3: (44, 80), 4: (58, 160)}[n]
+    D, spec = BallDomain(np.zeros(n), 1.0), QuadratureSpec(nodes=nodes)
+    for g in basis:
+        assert boundary_reproduce(g, OCTONION_POINT[:n], D, K, spec).abs_error <= 1e-10
+
+
+@pytest.mark.parametrize("n,nodes", OCTONION_CASES)
+def test_octonion_a_solution_outside_coupling_space_refused(n, nodes):
+    C, K = _octonion_kernel(n)
+    coupling = polynomial_solution_basis(K.coupling_conditions, 1)
+    g = next(g for g in polynomial_solution_basis(C, 1) if not coupling.contains(g))
+    assert g.degree == 1
+    x, D, spec = OCTONION_POINT[:n], BallDomain(np.zeros(n), 1.0), QuadratureSpec(nodes=nodes)
+    assert np.abs(condition_values(C, g, np.stack([x, -x]))).max() <= 1e-12
+    for call in (lambda: boundary_reproduce(g, x, D, K, spec),
+                 lambda: derivative_via_kernel(g, x, 0, D, K, spec)):
+        with pytest.raises(ValueError, match="Cauchy conditions .* coupling form"):
+            call()
+    # the boundary term alone misses g(x); with the volume term it is exact
+    assert verify_representation(g, x, D, K, spec).abs_error <= 1e-10
