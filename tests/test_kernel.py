@@ -25,6 +25,14 @@ TWO_PI = 2.0 * np.pi
 ALPHA = 1.0 / (2.0 * np.pi**2)
 
 
+POINT_CALLS = pytest.mark.parametrize("call", [
+    lambda K, p, q: phi(K, 0, p, q),
+    kernel_field,
+    lambda K, p, q: kernel_field_batch(K, p, q[None, :]),
+    closedness_residual,
+], ids=["phi", "kernel_field", "kernel_field_batch", "closedness_residual"])
+
+
 def _kernel(build):
     return CauchyKernel.from_conditions(build())
 
@@ -188,12 +196,7 @@ def test_closedness_detects_corrupted_weights():
     assert min(res) > 1e-3
 
 
-@pytest.mark.parametrize("call", [
-    lambda K, p, q: phi(K, 0, p, q),
-    kernel_field,
-    lambda K, p, q: kernel_field_batch(K, p, q[None, :]),
-    closedness_residual,
-], ids=["phi", "kernel_field", "kernel_field_batch", "closedness_residual"])
+@POINT_CALLS
 def test_point_of_wrong_length_rejected_by_name(call):
     K = _kernel(fueter_conditions)
     good, short = np.array([0.1, 0.2, 0.3, 0.4]), np.array([0.5, 0.6, 0.7])
@@ -203,12 +206,7 @@ def test_point_of_wrong_length_rejected_by_name(call):
         call(K, good, short)
 
 
-@pytest.mark.parametrize("call", [
-    lambda K, p, q: phi(K, 0, p, q),
-    kernel_field,
-    lambda K, p, q: kernel_field_batch(K, p, q[None, :]),
-    closedness_residual,
-], ids=["phi", "kernel_field", "kernel_field_batch", "closedness_residual"])
+@POINT_CALLS
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 def test_non_finite_point_rejected_by_name(call, bad):
     K = _kernel(fueter_conditions)
