@@ -21,13 +21,21 @@ coupling conditions sum_j (df/dy_j) * c[j, i] = 0 near x; these are the
 functions the kernel reproduces.  In an associative algebra they follow from
 the conditions a; in a non-associative one they can be stronger.
 
-Every sum over nodes runs in blocks of CHUNK nodes, one GEMM per block, and
-the block partials are added in order, so the result does not depend on the
-BLAS thread count.  MAX_QUADRATURE_NODES caps the nodes of any rule before
-it is built, and MAX_AXIS_NODES the nodes per axis of a Gauss rule.
+Every sum over nodes streams through the rule in blocks of about CHUNK
+nodes (_rule_blocks): whole rows of the leading angle of the product Gauss
+rule, slices of the Monte Carlo draws; the volume term cuts them further
+into CHUNK // nodes directions times their radial points.  Each block goes
+from its nodes to the values or gradients of f and on to a moment partial in
+one GEMM, and the partials are added in block order, so no array spans the
+whole rule and the result does not depend on the BLAS thread count.  The 1-D Gauss-Legendre
+factors are cached; whole rules are not, since the ten that recur at 28-36
+nodes per axis would hold about 7 MB.  MAX_QUADRATURE_NODES caps the nodes of
+any rule before it is built, and MAX_AXIS_NODES the nodes per axis of a Gauss
+rule.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -42,6 +50,7 @@ MIN_NODES = 8
 MAX_QUADRATURE_NODES = 2**22
 MAX_AXIS_NODES = math.isqrt(MAX_QUADRATURE_NODES)
 CHUNK = 4096
+GAUSS_CACHE_SIZE = 16
 
 
 class PointOutsideDomain(Exception):
@@ -109,6 +118,13 @@ class QuadratureSpec:
         if nodes < MIN_NODES:
             raise ValueError(f"nodes must be >= {MIN_NODES}")
         object.__setattr__(self, "nodes", nodes)
+        try:
+            seed = operator.index(self.seed)
+        except TypeError:
+            seed = None
+        if seed is None or seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", seed)
 
 
 def _partner_spec(spec: QuadratureSpec) -> QuadratureSpec:
@@ -151,39 +167,59 @@ def sphere_area(n: int, radius: float = 1.0) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0) * radius ** (n - 1)
 
 
-def _sphere_directions_gauss(n: int, k: int):
-    """Unit directions and weights with sum(w) = area of the unit sphere.
+@functools.lru_cache(maxsize=GAUSS_CACHE_SIZE)
+def _gauss_legendre(k: int):
+    """The k-node Gauss-Legendre rule on [-1, 1] as read-only (t, w).
+
+    The GAUSS_CACHE_SIZE most recent k are kept: the angle factor of the
+    sphere rule and the radial factor of the volume rule share them.  Only
+    these 1-D factors are kept, never whole rules, whose size grows as
+    k^(n-1).  Callers check k against MAX_AXIS_NODES first.
+    """
+    t, w = np.polynomial.legendre.leggauss(k)
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
+
+
+def _sphere_directions_gauss(n: int, k: int, rows: slice = slice(None)):
+    """Unit directions and weights of the product Gauss rule on the given
+    rows of its leading angle; all rows give sum(w) = area of the unit sphere.
 
     Product Gauss-Legendre rule in hyperspherical angles: n - 2 polar angles
-    on [0, pi] and the azimuth on [0, 2 pi], all mapped from one leggauss(k)
-    rule.  Cosines, sines and weights are taken per axis (k values each) and
-    broadcast onto the (k,)*(n-1) grid in C order, the factors multiplied in
-    axis order.
+    on [0, pi] and the azimuth on [0, 2 pi], all mapped from one k-node
+    factor.  Cosines, sines and weights are taken per axis (k values each,
+    the leading axis then cut to rows) and broadcast onto the grid in C
+    order, the factors multiplied in axis order, so a node's direction and
+    weight do not depend on which rows are built with it.  The directions
+    are stored coordinate by coordinate and returned as an (N, n) view.
     """
     if n == 1:
         return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
-    t, wt = np.polynomial.legendre.leggauss(k)
+    t, wt = _gauss_legendre(k)
     half_pi = 0.5 * math.pi
     axes = [(half_pi * t + half_pi, half_pi * wt)] * (n - 2)
     axes.append((math.pi * t + math.pi, math.pi * wt))
+    factors = [[np.cos(theta), np.sin(theta), weights] for theta, weights in axes]
+    factors[0] = [values[rows] for values in factors[0]]
+    shape = [len(factors[0][0])] + [k] * (n - 2)
 
     def on_axis(values, axis):
-        return values.reshape([k if a == axis else 1 for a in range(n - 1)])
+        return values.reshape([shape[a] if a == axis else 1 for a in range(n - 1)])
 
     w = np.ones(())
-    for axis, (_, weights) in enumerate(axes):
+    for axis, (_, _, weights) in enumerate(factors):
         w = w * on_axis(weights, axis)
-    omega = np.empty((k,) * (n - 1) + (n,))
+    omega = np.empty([n] + shape)
     sin_prod = np.ones(())
-    for axis, (theta, _) in enumerate(axes):
-        sin_theta = np.sin(theta)
-        omega[..., axis] = sin_prod * on_axis(np.cos(theta), axis)
+    for axis, (cos_theta, sin_theta, _) in enumerate(factors):
+        omega[axis] = sin_prod * on_axis(cos_theta, axis)
         sin_prod = sin_prod * on_axis(sin_theta, axis)
         # surface density: sin^{n-1-axis-1}(theta_axis) extra powers
         if axis < n - 2:
             w = w * on_axis(sin_theta ** (n - 2 - axis), axis)
-    omega[..., n - 1] = sin_prod
-    return omega.reshape(-1, n), w.ravel()
+    omega[n - 1] = sin_prod
+    return omega.reshape(n, -1).T, w.ravel()
 
 
 def _sphere_directions_mc(n: int, total: int, seed: int):
@@ -195,39 +231,53 @@ def _sphere_directions_mc(n: int, total: int, seed: int):
     return omega, w
 
 
-def _unit_directions(n: int, spec: QuadratureSpec, per_direction: int = 1):
-    """Unit directions and weights of the sphere_rule(n) rule, built only
-    after checking that directions * per_direction nodes fit in
-    MAX_QUADRATURE_NODES and, for the Gauss rule, that the nodes per axis fit
-    in MAX_AXIS_NODES."""
+def _direction_blocks(n: int, spec: QuadratureSpec, per_direction: int = 1):
+    """Unit directions and weights of the sphere_rule(n) rule, an iterator
+    of (omega, w) blocks of at most about CHUNK directions.
+
+    A Gauss block is whole rows of the leading angle, a Monte Carlo block a
+    slice of the drawn directions.  Before anything is built, checks that
+    directions * per_direction nodes fit in MAX_QUADRATURE_NODES and, for
+    the Gauss rule, that the nodes per axis fit in MAX_AXIS_NODES.
+    """
+    k = spec.nodes
     gauss = sphere_rule(n) == "product_gauss"
     if gauss:
         # leggauss(k) solves a k x k eigenproblem: bound k before the rule
-        if spec.nodes > MAX_AXIS_NODES:
+        if k > MAX_AXIS_NODES:
             raise QuadratureTooLarge(
-                f"rule needs {spec.nodes} nodes per axis; "
-                f"the limit is {MAX_AXIS_NODES}"
-            )
-        count = 2 if n == 1 else spec.nodes ** (n - 1)
+                f"rule needs {k} nodes per axis; the limit is {MAX_AXIS_NODES}")
+        count = 2 if n == 1 else k ** (n - 1)
     else:
-        count = 2 * (spec.nodes // 2)
+        count = 2 * (k // 2)
     if count * per_direction > MAX_QUADRATURE_NODES:
         raise QuadratureTooLarge(
             f"rule needs {count * per_direction} nodes; "
             f"the limit is {MAX_QUADRATURE_NODES}"
         )
-    if gauss:
-        return _sphere_directions_gauss(n, spec.nodes)
-    return _sphere_directions_mc(n, spec.nodes, spec.seed)
+    if not gauss:
+        omega, w = _sphere_directions_mc(n, k, spec.seed)
+        return ((omega[lo : lo + CHUNK], w[lo : lo + CHUNK])
+                for lo in range(0, count, CHUNK))
+    if n == 1:
+        return iter([_sphere_directions_gauss(n, k)])
+    step = max(1, CHUNK // k ** (n - 2))
+    return (_sphere_directions_gauss(n, k, slice(lo, lo + step))
+            for lo in range(0, k, step))
+
+
+def _rule_blocks(domain: BallDomain, spec: QuadratureSpec):
+    """The sphere rule of the domain as an iterator of (Y, nu, w) blocks:
+    the blocks of _direction_blocks moved onto the sphere."""
+    scale = domain.radius ** (domain.n - 1)
+    return ((domain.radius * omega + domain.center, omega, w * scale)
+            for omega, w in _direction_blocks(domain.n, spec))
 
 
 def sphere_quadrature(domain: BallDomain, spec: QuadratureSpec):
-    """Nodes y, outward unit normals nu, and weights w with sum(w) = area."""
-    n = domain.n
-    omega, w = _unit_directions(n, spec)
-    Y = domain.radius * omega
-    Y += domain.center
-    return Y, omega, w * domain.radius ** (n - 1)
+    """Nodes y, outward unit normals nu, and weights w with sum(w) = area:
+    the blocks of _rule_blocks joined."""
+    return tuple(np.concatenate(parts) for parts in zip(*_rule_blocks(domain, spec)))
 
 
 def _inside_point(x, domain: BallDomain, kernel: CauchyKernel) -> np.ndarray:
@@ -263,52 +313,34 @@ def _check_is_solution(f, kernel: CauchyKernel, x: np.ndarray,
         )
 
 
-def _blocked_product(count: int, gram, gamma: np.ndarray) -> np.ndarray:
-    """Sum of left_t * right_t in the algebra over count nodes.
-
-    gram(block) returns the (dim, dim) matrix sum_t left_t (x) right_t over
-    the nodes of one slice of at most CHUNK nodes; each is contracted with
-    gamma and the partials are added in block order.
-    """
-    partials = [np.einsum("se,sek->k", gram(slice(lo, lo + CHUNK)), gamma)
-                for lo in range(0, count, CHUNK)]
-    return np.sum(partials, axis=0)
-
-
 def _normal_flux(nu: np.ndarray, X: np.ndarray, kernel: CauchyKernel) -> np.ndarray:
     """sum_{j,i} nu_j X_i c[j, i] / Vol(B_n) at each node: (N, dim)."""
     n = kernel.n
     coupling = kernel.c.reshape(n * n, -1) / ball_volume(n)
-    return (nu[:, :, None] * X[:, None, :]).reshape(-1, n * n) @ coupling
+    return (nu.T[:, None, :] * X.T[None, :, :]).reshape(n * n, -1).T @ coupling
 
 
-def _moments(X, w, n: int, product) -> np.ndarray:
-    """Sum over CHUNK-node blocks of product(block, WX), added in block order.
-
-    WX[t, i] = w_t X_ti / r_t^n holds the weighted offsets of the block.
-    """
-    partials = []
-    for lo in range(0, len(w), CHUNK):
-        block = slice(lo, lo + CHUNK)
-        Xb = X[block]
-        scale = w[block] / np.sum(Xb * Xb, axis=1) ** (n / 2.0)
-        partials.append(product(block, scale[:, None] * Xb))
-    return np.sum(partials, axis=0)
+def _weighted_offsets(X, w, n: int) -> np.ndarray:
+    """w_t X_ti / r_t^n, the weighted offsets of the nodes, node axis last:
+    (n, N).  Per-node arithmetic runs on (n, N) arrays, whose rows are long
+    contiguous runs; the blocks of _direction_blocks are laid out so."""
+    Xt = X.T
+    return Xt * (w / np.einsum("it,it->t", Xt, Xt) ** (n / 2.0))
 
 
 def _boundary_moments(fv, X, nu, w, n: int) -> np.ndarray:
     """M[j, i, s] = sum_t w_t X_ti nu_tj f_s(y_t) / r_t^n; fv is (N, dim).
 
-    One (B, n^2)^T @ (B, dim) GEMM per block.
+    One (n^2, N) @ (N, dim) GEMM.
     """
-    M = _moments(X, w, n, lambda block, WX: (
-        (nu[block, :, None] * WX[:, None, :]).reshape(-1, n * n).T @ fv[block]))
+    WX = _weighted_offsets(X, w, n)
+    M = (nu.T[:, None, :] * WX[None, :, :]).reshape(n * n, -1) @ fv
     return M.reshape(n, n, -1)
 
 
 def _volume_moments(G, X, w, n: int) -> np.ndarray:
     """M[j, i, s] = sum_t w_t X_ti G_tjs / r_t^n; G is (N, n, dim)."""
-    M = _moments(X, w, n, lambda block, WX: WX.T @ G[block].reshape(len(WX), -1))
+    M = _weighted_offsets(X, w, n) @ G.reshape(len(w), -1)
     return M.reshape(n, n, -1).swapaxes(0, 1)
 
 
@@ -326,17 +358,19 @@ def _derivative_flux(X, nu, i: int, kernel: CauchyKernel) -> np.ndarray:
     / (Vol(B_n) r^{n+2}), the pole derivative of _normal_flux / r^n.
     """
     n = kernel.n
-    r2 = np.sum(X * X, axis=1)[:, None]
+    r2 = np.einsum("it,it->t", X.T, X.T)[:, None]
     nu_c_i = nu @ kernel.c[:, i, :] / ball_volume(n)
     outer = n * X[:, i, None] * _normal_flux(nu, X, kernel)
     return (outer - nu_c_i * r2) / r2 ** ((n + 2) / 2.0)
 
 
 def _boundary_term(f, x, domain, kernel, spec) -> tuple[np.ndarray, int]:
-    Y, nu, w = sphere_quadrature(domain, spec)
-    fv = _eval_function(f, Y, kernel.table.dim)
-    M = _boundary_moments(fv, Y - x[None, :], nu, w, kernel.n)
-    return _flux_contraction(M, kernel), Y.shape[0]
+    M, used = 0.0, 0
+    for Y, nu, w in _rule_blocks(domain, spec):
+        fv = _eval_function(f, Y, kernel.table.dim)
+        M = M + _boundary_moments(fv, Y - x, nu, w, kernel.n)
+        used += len(w)
+    return _flux_contraction(M, kernel), used
 
 
 def _reproduction_report(f, x, kernel, spec, term,
@@ -396,31 +430,33 @@ def _volume_term(f, x, domain, kernel, spec) -> tuple[np.ndarray, int]:
     """Integral of sum_j (df/dy_j) * Flux^j(y; x) over the ball, shell rule.
 
     Radial substitution y = x + r*omega: the r^{n-1} Jacobian cancels the
-    kernel singularity, leaving a smooth integrand on [0, t(omega)].
+    kernel singularity, leaving a smooth integrand on [0, t(omega)].  Each
+    block of nodes is CHUNK // spec.nodes directions times their spec.nodes
+    radial points.
     """
     n = domain.n
     k_rad = spec.nodes
-    omega, w_ang = _unit_directions(n, spec, per_direction=k_rad)
-    t_ref, t_w = np.polynomial.legendre.leggauss(k_rad)
+    blocks = _direction_blocks(n, spec, per_direction=k_rad)
+    t_ref, t_w = _gauss_legendre(k_rad)
     t_ref = 0.5 * (t_ref + 1.0)  # reference [0, 1]
     t_w = 0.5 * t_w
-
     d = x - domain.center
-    proj = omega @ d
-    reach = -proj + np.sqrt(proj**2 + domain.radius**2 - float(d @ d))
+    step = max(1, CHUNK // k_rad)  # directions per block of nodes
 
-    # nodes: for each direction, k_rad radial points r = reach * t_ref
-    R_nodes = reach[:, None] * t_ref[None, :]
-    Ynodes = x[None, None, :] + R_nodes[:, :, None] * omega[:, None, :]
-    W = (w_ang[:, None] * t_w[None, :] * reach[:, None]) * R_nodes ** (n - 1)
-
-    Yflat = Ynodes.reshape(-1, n)
-    Wflat = W.ravel()
-    Xflat = Yflat - x[None, :]
-
-    G = gradient_values(f, Yflat, kernel.table.dim)
-    M = _volume_moments(G, Xflat, Wflat, n)
-    return _flux_contraction(M, kernel), Yflat.shape[0]
+    M, used = 0.0, 0
+    for omega_rows, w_rows in blocks:
+        for lo in range(0, len(w_rows), step):
+            omega, w_ang = omega_rows[lo : lo + step], w_rows[lo : lo + step]
+            proj = omega @ d
+            reach = -proj + np.sqrt(proj**2 + domain.radius**2 - float(d @ d))
+            # nodes: for each direction, k_rad radial points r = reach * t_ref
+            R_nodes = reach[:, None] * t_ref[None, :]
+            Y = (x[:, None, None] + omega.T[:, :, None] * R_nodes).reshape(n, -1).T
+            W = (w_ang[:, None] * t_w[None, :] * reach[:, None]) * R_nodes ** (n - 1)
+            G = gradient_values(f, Y, kernel.table.dim)
+            M = M + _volume_moments(G, Y - x, W.ravel(), n)
+            used += len(Y)
+    return _flux_contraction(M, kernel), used
 
 
 def verify_representation(
@@ -474,22 +510,22 @@ def derivative_via_kernel(
     x = _inside_point(x, domain, kernel)
     _check_is_solution(f, kernel, x, domain)
 
-    Y, nu, w = sphere_quadrature(domain, spec)
     table = kernel.table
     gamma = table.gamma
-    flux = _derivative_flux(Y - x[None, :], nu, i, kernel)
-    fv = _eval_function(f, Y, table.dim)
-    value = _blocked_product(
-        Y.shape[0], lambda block: (w[block, None] * fv[block]).T @ flux[block], gamma
-    )
-
-    # empirical Cauchy-estimate constant: spectral norms of the matrices of
-    # right multiplication by each node's flux
-    right_mult = np.einsum("ijk,tj->tki", gamma, flux)
-    gram = np.swapaxes(right_mult, 1, 2) @ right_mult
-    norms = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
-    M = domain.radius * float(np.sum(w * norms))
-    sup_f = float(np.max(np.linalg.norm(fv, axis=1)))
+    value, weighted_norms, sup_f, used = 0.0, 0.0, 0.0, 0
+    for Y, nu, w in _rule_blocks(domain, spec):
+        flux = _derivative_flux(Y - x, nu, i, kernel)
+        fv = _eval_function(f, Y, table.dim)
+        value = value + np.einsum("se,sek->k", (w[:, None] * fv).T @ flux, gamma)
+        # empirical Cauchy-estimate constant: spectral norms of the matrices
+        # of right multiplication by each node's flux
+        right_mult = np.einsum("ijk,tj->tki", gamma, flux)
+        gram = np.swapaxes(right_mult, 1, 2) @ right_mult
+        norms = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+        weighted_norms += float(np.sum(w * norms))
+        sup_f = max(sup_f, float(np.max(np.linalg.norm(fv, axis=1))))
+        used += len(w)
+    M = domain.radius * weighted_norms
     bound = M * sup_f / domain.radius
     holds = float(np.linalg.norm(value)) <= bound * (1.0 + 1e-8) + 1e-12
     return DerivativeReport(
@@ -497,5 +533,5 @@ def derivative_via_kernel(
         estimate_check=holds,
         bound_constant=M,
         sup_boundary=sup_f,
-        nodes=Y.shape[0],
+        nodes=used,
     )

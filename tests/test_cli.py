@@ -296,6 +296,15 @@ def test_reproduce_rule_over_node_budget_fails(runner):
     assert "limit" in result.output
 
 
+def test_reproduce_negative_seed_fails(runner):
+    result = runner.invoke(
+        main, ["reproduce", "fueter_induced2", "-f", "const",
+               "--point", "0.1,0,0,0,0,0,0,0", "--nodes", "500", "--seed", "-1"]
+    )
+    assert result.exit_code == 1
+    assert "seed must be a non-negative integer, got -1" in result.output
+
+
 def test_reproduce_gauss_axis_over_limit_fails(runner, monkeypatch):
     # 10^5 nodes on one axis fit the node budget at n = 2; leggauss must not
     # be reached, since it would build a 10^5 x 10^5 matrix

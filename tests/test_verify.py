@@ -1,5 +1,10 @@
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypercauchy.admissibility import CRConditionSet, solve_admissibility
 from hypercauchy.algebra import AlgebraTable, ball_volume, builtin
@@ -14,6 +19,7 @@ from hypercauchy.solutions import (
     AlgPolynomial,
     apply_cr_operator,
     condition_values,
+    gradient_values,
     monomial_exponents,
     polynomial_solution_basis,
 )
@@ -27,10 +33,12 @@ from hypercauchy.verify import (
     QuadratureTooLarge,
     QuadratureUnderResolved,
     _boundary_moments,
+    _boundary_term,
     _derivative_flux,
     _flux_contraction,
     _sphere_directions_gauss,
     _volume_moments,
+    _volume_term,
     boundary_reproduce,
     derivative_via_kernel,
     sphere_area,
@@ -40,7 +48,7 @@ from hypercauchy.verify import (
 )
 
 FEASIBLE = [case for case in gallery() if case.expected_feasible]
-PARITY_NODES = 9000  # more than two CHUNK-node blocks
+PARITY_NODES = 9000  # more nodes than two rule blocks, in one call
 
 
 def _complex_kernel():
@@ -110,6 +118,14 @@ def test_quadrature_spec_nodes_must_be_an_integer(bad):
     with pytest.raises(ValueError, match="nodes must be an integer"):
         QuadratureSpec(nodes=bad)
     assert QuadratureSpec(nodes=np.int64(12)).nodes == 12
+
+
+@pytest.mark.parametrize("bad", [-1, 1.5, "3", None],
+                         ids=["negative", "fraction", "str", "none"])
+def test_quadrature_spec_seed_must_be_a_non_negative_integer(bad):
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        QuadratureSpec(nodes=100, seed=bad)
+    assert QuadratureSpec(nodes=100, seed=np.int64(3)).seed == 3
 
 
 def test_quadrature_spec_validation():
@@ -672,3 +688,104 @@ def test_octonion_a_solution_outside_coupling_space_refused(n, nodes):
             call()
     # the boundary term alone misses g(x); with the volume term it is exact
     assert verify_representation(g, x, D, K, spec).abs_error <= 1e-10
+
+
+# -- the streamed node sums against whole-rule sums ---------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _stream_kernel(n):
+    """A kernel on n variables, n = 1..5: sum_j (df/dy_j) * e_j = 0 in the
+    complex numbers (n = 1), the quaternions (n = 2..4) or the octonions."""
+    name = {1: "complex", 5: "octonion"}.get(n, "quaternion")
+    table = builtin(name)
+    C = single_condition(table, np.eye(table.dim)[:n])
+    K = CauchyKernel.from_conditions(C)
+    return K, polynomial_solution_basis(K.coupling_conditions, 2)
+
+
+def _assert_streamed(got, ref, scale):
+    # 1e-13 relative to the term, or to the size of its integrand where the
+    # term itself nearly cancels
+    err = np.linalg.norm(np.asarray(got) - ref)
+    assert err <= 1e-13 * max(np.linalg.norm(ref), scale)
+
+
+def _check_streamed_terms(n, k, seed):
+    # oracle: the same per-node helpers applied once to the whole rule
+    K, basis = _stream_kernel(n)
+    table, dim = K.table, K.table.dim
+    rng = np.random.default_rng(seed)
+    D = BallDomain(rng.uniform(-1.0, 1.0, n), rng.uniform(0.5, 2.0))
+    u = rng.normal(size=n)
+    x = D.center + D.radius * rng.uniform(0.0, 0.8) * u / np.linalg.norm(u)
+    layout = monomial_exponents(n, 2)
+    f = AlgPolynomial(table, layout, rng.normal(size=(len(layout), dim)))
+    spec = QuadratureSpec(nodes=k, seed=seed)
+
+    Y, nu, w = sphere_quadrature(D, spec)
+    fv = f.eval_batch(Y)
+    ref = _flux_contraction(_boundary_moments(fv, Y - x, nu, w, n), K)
+    got, used = _boundary_term(f, x, D, K, spec)
+    assert used == len(w)
+    _assert_streamed(got, ref, np.linalg.norm(fv, axis=1).max())
+
+    # volume: the shell rule built whole, on at most about 2^16 nodes
+    spec_v = QuadratureSpec(nodes=min(k, round(2 ** (16 / n))), seed=seed)
+    _, omega, w_ang = sphere_quadrature(BallDomain(np.zeros(n), 1.0), spec_v)
+    t, t_w = np.polynomial.legendre.leggauss(spec_v.nodes)
+    d = x - D.center
+    proj = omega @ d
+    reach = -proj + np.sqrt(proj**2 + D.radius**2 - float(d @ d))
+    R = reach[:, None] * (0.5 * (t + 1.0))
+    Yv = (x + R[:, :, None] * omega[:, None, :]).reshape(-1, n)
+    Wv = (w_ang[:, None] * (0.5 * t_w) * reach[:, None] * R ** (n - 1)).ravel()
+    G = gradient_values(f, Yv, dim)
+    ref = _flux_contraction(_volume_moments(G, Yv - x, Wv, n), K)
+    got, used = _volume_term(f, x, D, K, spec_v)
+    assert used == len(Wv)
+    _assert_streamed(got, ref, D.radius * np.linalg.norm(G, axis=2).max())
+
+    # derivative: value, bound constant and sup|f| of a coupling solution
+    g = AlgPolynomial(table, basis[0].exponents,
+                      sum(c * b.coeffs for c, b in zip(rng.normal(size=len(basis)), basis)))
+    i = int(rng.integers(n))
+    fv = g.eval_batch(Y)
+    flux = _derivative_flux(Y - x, nu, i, K)
+    ref = np.einsum("t,ts,td,sdk->k", w, fv, flux, table.gamma)
+    right_mult = np.einsum("ijk,tj->tki", table.gamma, flux)
+    bound = D.radius * np.sum(w * np.linalg.norm(right_mult, 2, axis=(1, 2)))
+    rep = derivative_via_kernel(g, x, i, D, K, spec)
+    _assert_streamed(rep.value.coeffs, ref, bound * rep.sup_boundary / D.radius)
+    assert rep.bound_constant == pytest.approx(bound, rel=1e-13)
+    assert rep.sup_boundary == np.linalg.norm(fv, axis=1).max()
+    assert rep.nodes == len(w)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 4), k=st.integers(8, 48), seed=st.integers(0, 2**32 - 1))
+def test_streamed_terms_match_whole_rule_sums(n, k, seed):
+    # 8..48 nodes per axis: rows of k^(n-2) nodes that mostly do not divide
+    # CHUNK, so the last block is short
+    _check_streamed_terms(n, k, seed)
+
+
+def test_streamed_terms_match_whole_rule_sums_monte_carlo():
+    # n = 5: slices of the drawn directions, the last one short
+    _check_streamed_terms(5, 2 * CHUNK + 1000, seed=7)
+
+
+def test_boundary_reproduce_memory_stays_within_a_few_blocks():
+    # 64^3 = 262,144 nodes; the whole rule alone would be 8 MB of nodes
+    K = _fueter_kernel()
+    f, D, spec = _zeta1(), BallDomain(np.zeros(4), 1.0), QuadratureSpec(nodes=64)
+    x = np.array([0.1, 0.2, 0.0, 0.0])
+    boundary_reproduce(f, x, D, K, spec)  # warm the 1-D factor cache
+    tracemalloc.start()
+    try:
+        rep = boundary_reproduce(f, x, D, K, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.nodes == 64**3 and rep.rel_error < 1e-10
+    assert peak < 4e6
