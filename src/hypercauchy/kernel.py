@@ -97,22 +97,20 @@ def kernel_field_batch(kernel: CauchyKernel, x, Y) -> np.ndarray:
 def closedness_residual(kernel: CauchyKernel, x, y) -> float:
     """Residual of the closedness identity at (x, y), normalized to O(1).
 
-    The identity states
+    The identity states, with X = y - x,
 
-        ||y-x||^2 sum_{m,j} a[m,j] * b[m,j]
-            = n sum_m P_m(y-x) * phi_m(x,y)
+        ||X||^2 sum_j c[j,j] = n sum_{j,i} X_j X_i c[j,i],
 
-    with P_m(X) = sum_j X_j a[m,j]; it holds exactly iff the weights solve
-    the bilinear constraints.
+    the c form, by bilinearity, of ||X||^2 sum_{m,j} a[m,j] * b[m,j] =
+    n sum_m P_m(X) * phi_m(x,y) with P_m(X) = sum_j X_j a[m,j]; it holds
+    exactly iff the weights solve the bilinear constraints.
     """
     x, y = _finite_point(kernel, "x", x), _finite_point(kernel, "y", y)
     diff = _check_off_diagonal(x, y)
     n = kernel.n
     r2 = float(diff @ diff)
 
-    lhs = r2 * np.einsum("mjs,mjd,sde->e", kernel.conditions.a, kernel.b,
-                         kernel.table.gamma)
-    # sum_m P_m(X) * phi_m = sum_{j,i} X_j X_i c[j, i] / Vol, by bilinearity
+    lhs = r2 * np.trace(kernel.c) / ball_volume(n)
     rhs = n * np.einsum("j,i,jie->e", diff, diff, kernel.c) / ball_volume(n)
 
     scale = n * kernel.conditions.normalization * r2

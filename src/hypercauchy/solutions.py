@@ -9,6 +9,7 @@ requested degree as the nullspace of the exact coefficient map.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product as _iterproduct
 from typing import Callable, Sequence
 
@@ -121,6 +122,14 @@ class AlgPolynomial:
                              f"has {self.n} variables")
         return X
 
+    @cached_property
+    def _lowered(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per variable j, the terms of df/dx_j, built once: see gradient_values."""
+        exps = self.exponents
+        return [(exps[rows] - np.eye(self.n, dtype=int)[j],
+                 self.coeffs[rows] * exps[rows, j : j + 1])
+                for j, rows in enumerate(exps.T > 0)]
+
     def partial_derivative(self, j: int) -> AlgPolynomial:
         if not 0 <= j < self.n:
             raise ValueError(f"no variable {j}: the polynomial has {self.n} variables")
@@ -228,13 +237,10 @@ def gradient_values(f, Y, dim: int) -> np.ndarray:
     otherwise.  Every derivative is written into one (N, n, dim) array.
     """
     if isinstance(f, AlgPolynomial):
-        Y, exps = f._points(Y), f.exponents
+        Y = f._points(Y)
         out = np.empty((Y.shape[0], f.n, dim))
-        terms = [(exps[rows] - np.eye(f.n, dtype=int)[j],
-                  f.coeffs[rows] * exps[rows, j : j + 1])
-                 for j, rows in enumerate(exps.T > 0)]
-        for block, P in _power_tables(Y, exps):
-            for j, (lowered, coeffs) in enumerate(terms):
+        for block, P in _power_tables(Y, f.exponents):
+            for j, (lowered, coeffs) in enumerate(f._lowered):
                 out[block, j] = _monomials(P, lowered).T @ coeffs
         return out
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -250,14 +256,17 @@ def gradient_values(f, Y, dim: int) -> np.ndarray:
 def condition_values(conditions: CRConditionSet, f, Y) -> np.ndarray:
     """The q condition values sum_j (df/dy_j) * a[m, j] at each row of Y.
 
-    Returns (N, q, dim): gradient_values contracted with a.
+    Returns (N, q, dim): the gradients times the (n dim, q dim) matrix
+    sum_d a[m, j, d] gamma[s, d, k], row (j, s) and column (m, k).
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if Y.ndim != 2 or Y.shape[1] != conditions.n:
         raise ValueError(f"points have shape {Y.shape} but the conditions have "
                          f"{conditions.n} variables")
-    return np.einsum("tjs,mjd,sdk->tmk", gradient_values(f, Y, conditions.table.dim),
-                     conditions.a, conditions.table.gamma, optimize=True)
+    n, q, dim = conditions.n, conditions.q, conditions.table.dim
+    A = np.einsum("mjd,sdk->jsmk", conditions.a, conditions.table.gamma)
+    G = gradient_values(f, Y, dim).reshape(len(Y), n * dim)
+    return (G @ A.reshape(n * dim, q * dim)).reshape(len(Y), q, dim)
 
 
 def apply_cr_operator(

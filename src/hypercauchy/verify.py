@@ -12,25 +12,31 @@ theorem gives
 
     int_dB f (Flux . nu) = f(x) + int_B sum_j (df/dy_j) * Flux^j
 
-in every algebra, because it uses only bilinearity.  So the boundary and the
-volume integrals are the same contraction of a moment tensor
-M[j, i, s] = sum_t w_t X_ti G_tjs / r_t^n with c and the structure
-constants: G = nu_j f_s on the boundary, G = df_s/dy_j in the volume.
-boundary_reproduce and derivative_via_kernel check that f solves the
-coupling conditions sum_j (df/dy_j) * c[j, i] = 0 near x; these are the
-functions the kernel reproduces.  In an associative algebra they follow from
-the conditions a; in a non-associative one they can be stronger.
+in every algebra, because it uses only bilinearity.  boundary_reproduce and
+derivative_via_kernel check that f solves the coupling conditions
+sum_j (df/dy_j) * c[j, i] = 0 near x; these are the functions the kernel
+reproduces.  In an associative algebra they follow from the conditions a; in
+a non-associative one they can be stronger.
 
-Every sum over nodes streams through the rule in blocks of about CHUNK
-nodes (_rule_blocks): whole rows of the leading angle of the product Gauss
-rule, slices of the Monte Carlo draws; the volume term cuts them further
-into CHUNK // nodes directions times their radial points.  Each block goes
-from its nodes to the values or gradients of f and on to a moment partial in
-one GEMM, and the partials are added in block order, so no array spans the
-whole rule and the result does not depend on the BLAS thread count.  The 1-D Gauss-Legendre
-factors are cached; whole rules are not, since the ten that recur at 28-36
-nodes per axis would hold about 7 MB.  MAX_QUADRATURE_NODES caps the nodes of
-any rule before it is built, and MAX_AXIS_NODES the nodes per axis of a Gauss
+Every node sum reads one parametrisation, rays from the pole: _ray_blocks
+gives the directions omega of the sphere rule seen from x, their weights,
+the distance reach to the sphere and s = R (nu . omega).  The sphere element
+reach^(n-1) / (nu . omega) d omega and the ball element r^(n-1) dr d omega
+cancel the kernel's r^-n exactly (Duffy's device), so no node divides by
+r^n, and a pole near the sphere only stretches the integrand along the
+polar angle.  The boundary and the volume integrals are then one contraction
+(_flux_contraction) of the moments M[j, i, s] = sum_t W_t omega_ti G_tjs
+(_moments) with c and the structure constants: G = nu_j f_s / (nu . omega) on
+the boundary, G = df_s/dy_j in the volume.
+
+Every sum streams through the rule in blocks of about CHUNK nodes: whole
+rows of the leading angle of the product Gauss rule, slices of the Monte
+Carlo draws, and CHUNK // nodes directions times their radial points in the
+volume.  Each block goes from its nodes to the values or gradients of f and
+on to a moment partial in one GEMM, and the partials are added in block
+order, so no array spans the whole rule.  The 1-D Gauss-Legendre factors
+are cached; whole rules are not.  MAX_QUADRATURE_NODES caps the nodes of any
+rule before it is built, and MAX_AXIS_NODES the nodes per axis of a Gauss
 rule.
 """
 from __future__ import annotations
@@ -169,13 +175,8 @@ def sphere_area(n: int, radius: float = 1.0) -> float:
 
 @functools.lru_cache(maxsize=GAUSS_CACHE_SIZE)
 def _gauss_legendre(k: int):
-    """The k-node Gauss-Legendre rule on [-1, 1] as read-only (t, w).
-
-    The GAUSS_CACHE_SIZE most recent k are kept: the angle factor of the
-    sphere rule and the radial factor of the volume rule share them.  Only
-    these 1-D factors are kept, never whole rules, whose size grows as
-    k^(n-1).  Callers check k against MAX_AXIS_NODES first.
-    """
+    """The k-node Gauss-Legendre rule on [-1, 1] as read-only (t, w), shared
+    by the angles and the radius.  Callers check k against MAX_AXIS_NODES."""
     t, w = np.polynomial.legendre.leggauss(k)
     t.setflags(write=False)
     w.setflags(write=False)
@@ -266,18 +267,34 @@ def _direction_blocks(n: int, spec: QuadratureSpec, per_direction: int = 1):
             for lo in range(0, k, step))
 
 
-def _rule_blocks(domain: BallDomain, spec: QuadratureSpec):
-    """The sphere rule of the domain as an iterator of (Y, nu, w) blocks:
-    the blocks of _direction_blocks moved onto the sphere."""
-    scale = domain.radius ** (domain.n - 1)
-    return ((domain.radius * omega + domain.center, omega, w * scale)
-            for omega, w in _direction_blocks(domain.n, spec))
-
-
 def sphere_quadrature(domain: BallDomain, spec: QuadratureSpec):
     """Nodes y, outward unit normals nu, and weights w with sum(w) = area:
-    the blocks of _rule_blocks joined."""
-    return tuple(np.concatenate(parts) for parts in zip(*_rule_blocks(domain, spec)))
+    the sphere_rule(n) directions seen from the center, joined."""
+    omega, w = (np.concatenate(parts) for parts in zip(*_direction_blocks(domain.n, spec)))
+    return (domain.radius * omega + domain.center, omega,
+            w * domain.radius ** (domain.n - 1))
+
+
+def _ray_blocks(x: np.ndarray, domain: BallDomain, spec: QuadratureSpec,
+                per_direction: int):
+    """The sphere_rule(n) directions seen from the pole x, an iterator of
+    (omega, w, reach, s) blocks of at most about CHUNK // per_direction
+    directions.
+
+    reach is the distance from x to the sphere along omega, so the sphere
+    point is y = x + reach omega with normal nu = (d + reach omega) / R, and
+    s = R (nu . omega) = sqrt(p^2 + R^2 - |d|^2), where p = omega . d and
+    d = x - center.  The sphere element is dS = reach^(n-1) R / s d omega.
+    """
+    d = x - domain.center
+    gap = domain.radius**2 - float(d @ d)
+    step = max(1, CHUNK // per_direction)
+    for omega_rows, w_rows in _direction_blocks(domain.n, spec, per_direction):
+        for lo in range(0, len(w_rows), step):
+            omega = omega_rows[lo : lo + step]
+            p = omega @ d
+            s = np.sqrt(p * p + gap)
+            yield omega, w_rows[lo : lo + step], s - p, s
 
 
 def _inside_point(x, domain: BallDomain, kernel: CauchyKernel) -> np.ndarray:
@@ -320,55 +337,33 @@ def _normal_flux(nu: np.ndarray, X: np.ndarray, kernel: CauchyKernel) -> np.ndar
     return (nu.T[:, None, :] * X.T[None, :, :]).reshape(n * n, -1).T @ coupling
 
 
-def _weighted_offsets(X, w, n: int) -> np.ndarray:
-    """w_t X_ti / r_t^n, the weighted offsets of the nodes, node axis last:
-    (n, N).  Per-node arithmetic runs on (n, N) arrays, whose rows are long
-    contiguous runs; the blocks of _direction_blocks are laid out so."""
-    Xt = X.T
-    return Xt * (w / np.einsum("it,it->t", Xt, Xt) ** (n / 2.0))
-
-
-def _boundary_moments(fv, X, nu, w, n: int) -> np.ndarray:
-    """M[j, i, s] = sum_t w_t X_ti nu_tj f_s(y_t) / r_t^n; fv is (N, dim).
-
-    One (n^2, N) @ (N, dim) GEMM.
-    """
-    WX = _weighted_offsets(X, w, n)
-    M = (nu.T[:, None, :] * WX[None, :, :]).reshape(n * n, -1) @ fv
-    return M.reshape(n, n, -1)
-
-
-def _volume_moments(G, X, w, n: int) -> np.ndarray:
-    """M[j, i, s] = sum_t w_t X_ti G_tjs / r_t^n; G is (N, n, dim)."""
-    M = _weighted_offsets(X, w, n) @ G.reshape(len(w), -1)
+def _moments(omega, W, G) -> np.ndarray:
+    """M[j, i, s] = sum_t W_t omega_ti G_tjs, the moments _flux_contraction
+    reads; G is (N, n, dim), its last two axes mergeable without a copy.
+    One (n, N) @ (N, n dim) GEMM."""
+    n = omega.shape[1]
+    M = (omega.T * W) @ G.reshape(len(W), -1)
     return M.reshape(n, n, -1).swapaxes(0, 1)
 
 
 def _flux_contraction(M: np.ndarray, kernel: CauchyKernel) -> np.ndarray:
     """sum_{j,i,s,d} M[j, i, s] c[j, i, d] gamma[s, d, k] / Vol(B_n): the
     integral of sum_j G_j * Flux^j whose moments M are."""
-    return np.einsum("jis,jid,sdk->k", M, kernel.c, kernel.table.gamma,
-                     optimize=True) / ball_volume(kernel.n)
-
-
-def _derivative_flux(X, nu, i: int, kernel: CauchyKernel) -> np.ndarray:
-    """d/dx_i of the normal-contracted flux at each node: (N, dim).
-
-    (-r^2 sum_j nu_j c[j, i] + n X_i sum_{j,k} nu_j X_k c[j, k])
-    / (Vol(B_n) r^{n+2}), the pole derivative of _normal_flux / r^n.
-    """
-    n = kernel.n
-    r2 = np.einsum("it,it->t", X.T, X.T)[:, None]
-    nu_c_i = nu @ kernel.c[:, i, :] / ball_volume(n)
-    outer = n * X[:, i, None] * _normal_flux(nu, X, kernel)
-    return (outer - nu_c_i * r2) / r2 ** ((n + 2) / 2.0)
+    n, dim = kernel.n, kernel.table.dim
+    S = M.reshape(n * n, dim).T @ kernel.c.reshape(n * n, dim)
+    return S.ravel() @ kernel.table.gamma.reshape(dim * dim, dim) / ball_volume(n)
 
 
 def _boundary_term(f, x, domain, kernel, spec) -> tuple[np.ndarray, int]:
+    """Integral of f (Flux . nu) over the sphere along rays from x: moments
+    with G = nu_j f_s / (nu . omega) = (y - center)_j f_s / s."""
     M, used = 0.0, 0
-    for Y, nu, w in _rule_blocks(domain, spec):
-        fv = _eval_function(f, Y, kernel.table.dim)
-        M = M + _boundary_moments(fv, Y - x, nu, w, kernel.n)
+    for omega, w, reach, s in _ray_blocks(x, domain, spec, 1):
+        Y = x[:, None] + reach * omega.T  # (n, N): coordinate-major
+        fv = _eval_function(f, Y.T, kernel.table.dim)
+        # G is built node axis last, (n, dim, N), for long contiguous runs
+        G = np.multiply(((Y - domain.center[:, None]) / s)[:, None, :], fv.T, order="C")
+        M = M + _moments(omega, w, G.transpose(2, 0, 1))
         used += len(w)
     return _flux_contraction(M, kernel), used
 
@@ -427,35 +422,20 @@ def boundary_reproduce(
 
 
 def _volume_term(f, x, domain, kernel, spec) -> tuple[np.ndarray, int]:
-    """Integral of sum_j (df/dy_j) * Flux^j(y; x) over the ball, shell rule.
-
-    Radial substitution y = x + r*omega: the r^{n-1} Jacobian cancels the
-    kernel singularity, leaving a smooth integrand on [0, t(omega)].  Each
-    block of nodes is CHUNK // spec.nodes directions times their spec.nodes
-    radial points.
-    """
-    n = domain.n
-    k_rad = spec.nodes
-    blocks = _direction_blocks(n, spec, per_direction=k_rad)
-    t_ref, t_w = _gauss_legendre(k_rad)
-    t_ref = 0.5 * (t_ref + 1.0)  # reference [0, 1]
-    t_w = 0.5 * t_w
-    d = x - domain.center
-    step = max(1, CHUNK // k_rad)  # directions per block of nodes
-
+    """Integral of sum_j (df/dy_j) * Flux^j(y; x) over the ball along rays
+    from x: y = x + reach t omega with t on [0, 1] leaves the integrand
+    reach omega_i df/dy_j, whose spec.nodes radial points are summed first."""
+    n, k = domain.n, spec.nodes
+    t, t_w = _gauss_legendre(k)
+    t, t_w = 0.5 * (t + 1.0), 0.5 * t_w  # on [0, 1]
     M, used = 0.0, 0
-    for omega_rows, w_rows in blocks:
-        for lo in range(0, len(w_rows), step):
-            omega, w_ang = omega_rows[lo : lo + step], w_rows[lo : lo + step]
-            proj = omega @ d
-            reach = -proj + np.sqrt(proj**2 + domain.radius**2 - float(d @ d))
-            # nodes: for each direction, k_rad radial points r = reach * t_ref
-            R_nodes = reach[:, None] * t_ref[None, :]
-            Y = (x[:, None, None] + omega.T[:, :, None] * R_nodes).reshape(n, -1).T
-            W = (w_ang[:, None] * t_w[None, :] * reach[:, None]) * R_nodes ** (n - 1)
-            G = gradient_values(f, Y, kernel.table.dim)
-            M = M + _volume_moments(G, Y - x, W.ravel(), n)
-            used += len(Y)
+    for omega, w, reach, _ in _ray_blocks(x, domain, spec, k):
+        # radial-major nodes, (n, k, directions), coordinate-major
+        Y = (x[:, None, None] + t[:, None] * (reach * omega.T)[:, None, :]).reshape(n, -1)
+        G = gradient_values(f, Y.T, kernel.table.dim)
+        G = (t_w @ G.reshape(k, -1)).reshape(len(w), n, -1)
+        M = M + _moments(omega, w * reach, G)
+        used += Y.shape[1]
     return _flux_contraction(M, kernel), used
 
 
@@ -495,9 +475,9 @@ def derivative_via_kernel(
 ) -> DerivativeReport:
     """d f / d x_i from boundary values, via the pole derivative of the kernel.
 
-    The pole derivative of the normal-contracted flux reads c alone
-    (_derivative_flux), and the integral of f against it returns the i-th
-    partial derivative of f at x.  Also reports the empirical constant
+    The pole derivative of the normal-contracted flux reads c alone, and
+    the integral of f against it returns the i-th partial derivative of f
+    at x.  Also reports the empirical constant
     M = R * integral of the spectral norm of right-multiplication by the
     contracted flux, which bounds |df| by M sup|f| / R.
     """
@@ -510,23 +490,30 @@ def derivative_via_kernel(
     x = _inside_point(x, domain, kernel)
     _check_is_solution(f, kernel, x, domain)
 
-    table = kernel.table
+    n, R, table = kernel.n, domain.radius, kernel.table
     gamma = table.gamma
-    value, weighted_norms, sup_f, used = 0.0, 0.0, 0.0, 0
-    for Y, nu, w in _rule_blocks(domain, spec):
-        flux = _derivative_flux(Y - x, nu, i, kernel)
-        fv = _eval_function(f, Y, table.dim)
-        value = value + np.einsum("se,sek->k", (w[:, None] * fv).T @ flux, gamma)
+    S, weighted_norms, sup_f, used = 0.0, 0.0, 0.0, 0
+    for omega, w, reach, s in _ray_blocks(x, domain, spec, 1):
+        Y = x[:, None] + reach * omega.T  # (n, N): coordinate-major
+        # d/dx_i (X_k / r^n) = (n omega_i omega_k - delta_ik) / r^n, and
+        # dS = reach^(n-1) R / s d omega leaves the weight w R / (s reach)
+        Z = n * omega.T[i] * omega.T
+        Z[i] -= 1.0
+        flux = _normal_flux(((Y - domain.center[:, None]) / R).T, Z.T, kernel)
+        wd = w * R / (s * reach)
+        fv = _eval_function(f, Y.T, table.dim)
+        S = S + (wd[:, None] * fv).T @ flux
         # empirical Cauchy-estimate constant: spectral norms of the matrices
         # of right multiplication by each node's flux
         right_mult = np.einsum("ijk,tj->tki", gamma, flux)
         gram = np.swapaxes(right_mult, 1, 2) @ right_mult
         norms = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
-        weighted_norms += float(np.sum(w * norms))
+        weighted_norms += float(np.sum(wd * norms))
         sup_f = max(sup_f, float(np.max(np.linalg.norm(fv, axis=1))))
         used += len(w)
-    M = domain.radius * weighted_norms
-    bound = M * sup_f / domain.radius
+    value = np.ravel(S) @ gamma.reshape(table.dim**2, table.dim)
+    M = R * weighted_norms
+    bound = weighted_norms * sup_f
     holds = float(np.linalg.norm(value)) <= bound * (1.0 + 1e-8) + 1e-12
     return DerivativeReport(
         value=AlgElem(table, value),

@@ -14,7 +14,7 @@ from hypercauchy.families import (
     gallery,
     single_condition,
 )
-from hypercauchy.kernel import CauchyKernel
+from hypercauchy.kernel import CauchyKernel, kernel_field_batch
 from hypercauchy.solutions import (
     AlgPolynomial,
     apply_cr_operator,
@@ -32,12 +32,11 @@ from hypercauchy.verify import (
     QuadratureSpec,
     QuadratureTooLarge,
     QuadratureUnderResolved,
-    _boundary_moments,
     _boundary_term,
-    _derivative_flux,
     _flux_contraction,
+    _moments,
+    _normal_flux,
     _sphere_directions_gauss,
-    _volume_moments,
     _volume_term,
     boundary_reproduce,
     derivative_via_kernel,
@@ -195,6 +194,33 @@ def test_reproduce_constant_monte_carlo_high_dimension():
         QuadratureSpec(nodes=20000, seed=3),
     )
     assert rep.rel_error < 0.02
+
+
+def test_reproduce_zeta1_near_the_sphere():
+    # rays from the pole: the sphere element cancels the kernel's r^-n, so
+    # no node sees a near-singular integrand
+    u = np.array([0.3, -0.5, 0.2, 0.7])
+    rep = boundary_reproduce(_zeta1(), 0.9 * u / np.linalg.norm(u),
+                             BallDomain(np.zeros(4), 1.0), _fueter_kernel(),
+                             QuadratureSpec(nodes=32))
+    assert rep.rel_error <= 1e-6
+
+
+def test_reproduce_cubic_near_the_circle():
+    rep = boundary_reproduce(_cubic(), np.array([0.54, -0.72]), BallDomain(np.zeros(2), 1.0),
+                             _complex_kernel(), QuadratureSpec(nodes=64))
+    assert rep.rel_error <= 1e-8
+
+
+def test_reproduce_constant_monte_carlo_exact_by_antithetic_pairs():
+    # seen from the pole, a constant's integrand is its value times the
+    # diagonal of c plus a part odd in omega, which the pairs -omega cancel
+    case = next(c for c in gallery() if c.name == "fueter_induced2")
+    K = CauchyKernel.from_conditions(case.build())
+    const = AlgPolynomial.constant(K.table, 8, [1.0, 0.5, -0.25, 2.0])
+    rep = boundary_reproduce(const, 0.5 * np.eye(8)[3], BallDomain(np.zeros(8), 1.0), K,
+                             QuadratureSpec(nodes=2000, seed=5))
+    assert rep.rel_error <= 1e-12
 
 
 def test_position_independence():
@@ -543,6 +569,19 @@ def test_sphere_directions_match_per_node_construction(n, k):
 # -- the derivative bound constant against batched SVD norms -------------------
 
 
+def _whole_rays(D, spec, x):
+    """The whole direction rule seen from x: omega, w, reach, s = R (nu .
+    omega), the sphere points y and their normals nu, built from the rule
+    seen from the center."""
+    _, omega, w = sphere_quadrature(BallDomain(np.zeros(D.n), 1.0), spec)
+    d = x - D.center
+    proj = omega @ d
+    s = np.sqrt(proj * proj + (D.radius**2 - d @ d))
+    reach = s - proj
+    Y = x + reach[:, None] * omega
+    return omega, w, reach, s, Y, (Y - D.center) / D.radius
+
+
 @pytest.mark.parametrize("name,nodes", [
     ("fueter", 12), ("octonion_single", 2000), ("sedenion_single", 2000),
     # right multiplication is a scaled isometry in the three above, so all
@@ -557,10 +596,12 @@ def test_bound_constant_matches_svd_norms(name, nodes):
     x = np.linspace(-0.2, 0.3, n)
     f = AlgPolynomial.constant(K.table, n, np.linspace(1.0, 2.0, dim))
     rep = derivative_via_kernel(f, x, n - 1, D, K, spec)
-    Y, nu, w = sphere_quadrature(D, spec)
-    flux = _derivative_flux(Y - x, nu, n - 1, K)
+    omega, w, reach, s, _, nu = _whole_rays(D, spec, x)
+    Z = n * omega[:, n - 1, None] * omega - np.eye(n)[n - 1]
+    flux = _normal_flux(nu, Z, K)
     right_mult = np.einsum("ijk,tj->tki", K.table.gamma, flux)
-    ref = D.radius * np.sum(w * np.linalg.norm(right_mult, 2, axis=(1, 2)))
+    wd = w * D.radius / (s * reach)
+    ref = D.radius * np.sum(wd * np.linalg.norm(right_mult, 2, axis=(1, 2)))
     assert rep.bound_constant == pytest.approx(ref, rel=1e-13)
 
 
@@ -579,44 +620,56 @@ def _parity_workload(case, seed):
     return C, K, rng, X, nu, w
 
 
+def _rays(X):
+    """Distances r and directions omega of the offsets X from the pole."""
+    r = np.linalg.norm(X, axis=1)
+    return r, X / r[:, None]
+
+
 def _close(got, ref):
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
 @pytest.mark.parametrize("case", FEASIBLE, ids=lambda c: c.name)
 def test_boundary_sum_matches_direct_b_form_sum(case):
-    # sum_m (nu . a_m)(X . b_m) is the normal flux by bilinearity alone, so
-    # this per-node oracle is exact in every algebra
+    # sum_m (nu . a_m)(X . b_m) / r^n is the normal flux by bilinearity alone,
+    # so this per-node oracle is exact in every algebra; its nodes carry the
+    # ray element w r^(n-1) / (nu . omega), which the moments cancel
     C, K, rng, X, nu, w = _parity_workload(case, seed=0)
     table, b = C.table, K.b
+    r, omega = _rays(X)
+    cos = np.sum(nu * omega, axis=1)
     fv = rng.normal(size=(PARITY_NODES, table.dim))
     ref = np.zeros(table.dim)
     for t in range(PARITY_NODES):
         flux = np.zeros(table.dim)
         for m in range(C.q):
             flux += table.mul_coeffs(nu[t] @ C.a[m], X[t] @ b[m])
-        ref += w[t] / (X[t] @ X[t]) ** (C.n / 2.0) * table.mul_coeffs(fv[t], flux)
+        dS = w[t] * r[t] ** (C.n - 1) / cos[t]
+        ref += dS / r[t] ** C.n * table.mul_coeffs(fv[t], flux)
     assert PARITY_NODES > 2 * CHUNK
-    _close(_flux_contraction(_boundary_moments(fv, X, nu, w, C.n), K), ref)
+    G = (nu / cos[:, None])[:, :, None] * fv[:, None, :]
+    _close(_flux_contraction(_moments(omega, w, G), K), ref)
 
 
 @pytest.mark.parametrize("case", FEASIBLE, ids=lambda c: c.name)
 def test_volume_sum_matches_direct_b_form_sum(case):
     # oracle: the Stokes integrand sum_j G_j * Flux^j formed node by node,
-    # with Flux^j = sum_i X_i c[j, i] / (Vol r^n), then summed over nodes; the
-    # b-form sum_m t_m * phi_m with t_m = sum_j G_j * a[m, j] agrees with it
-    # only in associative algebras
+    # with Flux^j = sum_i X_i c[j, i] / (Vol r^n) and the ray element
+    # w r^(n-1), then summed over nodes; the b-form sum_m t_m * phi_m with
+    # t_m = sum_j G_j * a[m, j] agrees with it only in associative algebras
     C, K, rng, X, _, w = _parity_workload(case, seed=1)
     table = C.table
+    r, omega = _rays(X)
     G = rng.normal(size=(PARITY_NODES, C.n, table.dim))
 
     def mul_rows(left, right):  # the algebra product at every node
         return np.einsum("ts,td,sdk->tk", left, right, table.gamma, optimize=True)
 
-    scale = (w / np.sum(X * X, axis=1) ** (C.n / 2.0))[:, None]
+    scale = (w * r ** (C.n - 1) / r**C.n)[:, None]
     flux = np.einsum("ti,jid->tjd", X, K.c) / ball_volume(C.n)
     ref = sum(scale * mul_rows(G[:, j], flux[:, j]) for j in range(C.n)).sum(axis=0)
-    _close(_flux_contraction(_volume_moments(G, X, w, C.n), K), ref)
+    _close(_flux_contraction(_moments(omega, w, G), K), ref)
     if table.associative:
         t = np.einsum("tjs,mjd,sdk->tmk", G, C.a, table.gamma)
         phi = np.einsum("ti,mid->tmd", X, K.b)
@@ -626,6 +679,8 @@ def test_volume_sum_matches_direct_b_form_sum(case):
 
 @pytest.mark.parametrize("case", FEASIBLE, ids=lambda c: c.name)
 def test_derivative_flux_matches_b_form(case):
+    # the pole derivative of sum_m (nu . a_m) phi_m / r^n against the normal
+    # flux of Z = n omega_i omega - e_i, over r^n
     C, K, _, X, nu, _ = _parity_workload(case, seed=2)
     b, i, n = K.b, C.n - 1, C.n
     r2 = np.sum(X * X, axis=1)[:, None, None]
@@ -633,7 +688,9 @@ def test_derivative_flux_matches_b_form(case):
     dphi = (-b[None, :, i, :] * r2 + n * X[:, i, None, None] * phi) / r2 ** ((n + 2) / 2.0)
     anu = np.einsum("tj,mjd->tmd", nu, C.a)
     ref = np.einsum("tms,tmd,sde->te", anu, dphi, C.table.gamma)
-    _close(_derivative_flux(X, nu, i, K), ref)
+    r, omega = _rays(X)
+    Z = n * omega[:, i, None] * omega - np.eye(n)[i]
+    _close(_normal_flux(nu, Z, K) / r[:, None] ** n, ref)
 
 
 # -- a non-associative kernel reproduces the solutions of its coupling ---------
@@ -704,59 +761,74 @@ def _stream_kernel(n):
     return K, polynomial_solution_basis(K.coupling_conditions, 2)
 
 
-def _assert_streamed(got, ref, scale):
-    # 1e-13 relative to the term, or to the size of its integrand where the
-    # term itself nearly cancels
+def _assert_streamed(got, *parts):
+    # got against the sum of the node contributions in parts, to 1e-13
+    # relative to the sum of their sizes, which bounds the rounding of any
+    # summation order and of cancelling parts
+    ref = sum(part.sum(axis=0) for part in parts)
     err = np.linalg.norm(np.asarray(got) - ref)
-    assert err <= 1e-13 * max(np.linalg.norm(ref), scale)
+    assert err <= 1e-13 * sum(np.linalg.norm(part, axis=1).sum() for part in parts)
 
 
 def _check_streamed_terms(n, k, seed):
-    # oracle: the same per-node helpers applied once to the whole rule
+    # oracle: the textbook per-node sums over the whole rule seen from x,
+    # with the flux from kernel_field_batch (r^-n included) and the ray
+    # elements reach^(n-1) / (nu . omega) of the sphere and r^(n-1) dr of
+    # the ball
     K, basis = _stream_kernel(n)
     table, dim = K.table, K.table.dim
     rng = np.random.default_rng(seed)
     D = BallDomain(rng.uniform(-1.0, 1.0, n), rng.uniform(0.5, 2.0))
     u = rng.normal(size=n)
     x = D.center + D.radius * rng.uniform(0.0, 0.8) * u / np.linalg.norm(u)
-    layout = monomial_exponents(n, 2)
+    # cubic, so the radial rule must integrate quadratics in t: symmetric
+    # nodes with equal weights integrate the linear ones exactly
+    layout = monomial_exponents(n, 3)
     f = AlgPolynomial(table, layout, rng.normal(size=(len(layout), dim)))
     spec = QuadratureSpec(nodes=k, seed=seed)
 
-    Y, nu, w = sphere_quadrature(D, spec)
-    fv = f.eval_batch(Y)
-    ref = _flux_contraction(_boundary_moments(fv, Y - x, nu, w, n), K)
+    def product(left, right):  # the algebra product left * right at every node
+        return np.einsum("ts,td,sdk->tk", left, right, table.gamma)
+
+    omega, w, reach, s, Y, nu = _whole_rays(D, spec, x)
+    dS = w * reach ** (n - 1) * D.radius / s
+    normal_flux = np.einsum("tjd,tj->td", kernel_field_batch(K, x, Y), nu)
     got, used = _boundary_term(f, x, D, K, spec)
     assert used == len(w)
-    _assert_streamed(got, ref, np.linalg.norm(fv, axis=1).max())
+    _assert_streamed(got, dS[:, None] * product(f.eval_batch(Y), normal_flux))
 
     # volume: the shell rule built whole, on at most about 2^16 nodes
     spec_v = QuadratureSpec(nodes=min(k, round(2 ** (16 / n))), seed=seed)
-    _, omega, w_ang = sphere_quadrature(BallDomain(np.zeros(n), 1.0), spec_v)
+    omega_v, w_v, reach_v, *_ = _whole_rays(D, spec_v, x)
     t, t_w = np.polynomial.legendre.leggauss(spec_v.nodes)
-    d = x - D.center
-    proj = omega @ d
-    reach = -proj + np.sqrt(proj**2 + D.radius**2 - float(d @ d))
-    R = reach[:, None] * (0.5 * (t + 1.0))
-    Yv = (x + R[:, :, None] * omega[:, None, :]).reshape(-1, n)
-    Wv = (w_ang[:, None] * (0.5 * t_w) * reach[:, None] * R ** (n - 1)).ravel()
+    r = reach_v[:, None] * (0.5 * (t + 1.0))
+    Yv = (x + r[:, :, None] * omega_v[:, None, :]).reshape(-1, n)
+    dV = (w_v[:, None] * reach_v[:, None] * (0.5 * t_w) * r ** (n - 1)).ravel()
     G = gradient_values(f, Yv, dim)
-    ref = _flux_contraction(_volume_moments(G, Yv - x, Wv, n), K)
+    flux = kernel_field_batch(K, x, Yv)
+    integrand = sum(product(G[:, j], flux[:, j]) for j in range(n))
     got, used = _volume_term(f, x, D, K, spec_v)
-    assert used == len(Wv)
-    _assert_streamed(got, ref, D.radius * np.linalg.norm(G, axis=2).max())
+    assert used == len(dV)
+    _assert_streamed(got, dV[:, None] * integrand)
 
-    # derivative: value, bound constant and sup|f| of a coupling solution
+    # derivative: value, bound constant and sup|f| of a coupling solution;
+    # d/dx_i Flux^j = -c[j, i] / (Vol r^n) + n X_i Flux^j / r^2, where
+    # c[j, i] / Vol is the flux at x + e_i
     g = AlgPolynomial(table, basis[0].exponents,
                       sum(c * b.coeffs for c, b in zip(rng.normal(size=len(basis)), basis)))
     i = int(rng.integers(n))
+    X = Y - x
+    r2 = np.sum(X * X, axis=1)
+    c_i = kernel_field_batch(K, x, (x + np.eye(n)[i])[None, :])[0]
+    outer = n * X[:, i, None, None] * kernel_field_batch(K, x, Y) / r2[:, None, None]
+    outer = np.einsum("tjd,tj->td", outer, nu)
+    inner = np.einsum("tj,jd->td", nu / r2[:, None] ** (n / 2.0), c_i)
     fv = g.eval_batch(Y)
-    flux = _derivative_flux(Y - x, nu, i, K)
-    ref = np.einsum("t,ts,td,sdk->k", w, fv, flux, table.gamma)
-    right_mult = np.einsum("ijk,tj->tki", table.gamma, flux)
-    bound = D.radius * np.sum(w * np.linalg.norm(right_mult, 2, axis=(1, 2)))
+    right_mult = np.einsum("ijk,tj->tki", table.gamma, outer - inner)
+    bound = D.radius * np.sum(dS * np.linalg.norm(right_mult, 2, axis=(1, 2)))
     rep = derivative_via_kernel(g, x, i, D, K, spec)
-    _assert_streamed(rep.value.coeffs, ref, bound * rep.sup_boundary / D.radius)
+    _assert_streamed(rep.value.coeffs, dS[:, None] * product(fv, outer),
+                     -dS[:, None] * product(fv, inner))
     assert rep.bound_constant == pytest.approx(bound, rel=1e-13)
     assert rep.sup_boundary == np.linalg.norm(fv, axis=1).max()
     assert rep.nodes == len(w)
