@@ -36,6 +36,7 @@ from .algebra import (
 DEFAULT_TOL = 1e-9
 ILL_CONDITIONED_CEILING = 1e-6
 RANK_REL_SV = 1e-10
+MAX_SYSTEM_ENTRIES = 2**24  # 128 MB of float64; sedenion_single needs 557,056
 
 
 class AdmissibilityError(Exception):
@@ -56,6 +57,10 @@ class IllConditioned(AdmissibilityError):
             f"{ceiling / residual:.2e} below ceiling); "
             "the rank decision is ambiguous at this precision"
         )
+
+
+class SystemTooLarge(ValueError):
+    """The system would have more than MAX_SYSTEM_ENTRIES entries."""
 
 
 class NotCommutative(AdmissibilityError):
@@ -240,8 +245,13 @@ def assemble_system(conditions: CRConditionSet) -> tuple[np.ndarray, np.ndarray]
     Rows are the _constraint_rows of c / Vol(B_n), dim per variable pair.
     Column block k (the weights b[:, k]) is built from the coupling that
     b[:, k] alone produces, c[j, k] / Vol = sum_m a[m, j] * b[m, k]; r is
-    the rows of the target coupling kappa e_0 on the diagonal.
+    the rows of the target coupling kappa e_0 on the diagonal.  Raises
+    SystemTooLarge before anything is allocated.
     """
+    rows, cols = conditions.equation_count(), conditions.unknown_count()
+    if rows * cols > MAX_SYSTEM_ENTRIES:
+        raise SystemTooLarge(f"the admissibility system needs {rows} x {cols} = "
+                             f"{rows * cols} entries; the limit is {MAX_SYSTEM_ENTRIES}")
     table = conditions.table
     n, q, dim = conditions.n, conditions.q, table.dim
     # left[j, :, m, :] is the matrix of b[m, k] -> a[m, j] * b[m, k]

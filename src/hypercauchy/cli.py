@@ -28,7 +28,6 @@ from .verify import (
     QuadratureSpec,
     QuadratureUnderResolved,
     boundary_reproduce,
-    sphere_rule,
 )
 
 SCHEMA_VERSION = "1"
@@ -208,9 +207,7 @@ def cr_solve(conditions: str, tol: float, out: str | None, fmt: str) -> None:
               help="Ball center (comma-separated); default origin.")
 @click.option("--radius", type=float, default=1.0, show_default=True)
 @click.option("--nodes", type=int, default=32, show_default=True,
-              help="Nodes per angle for n <= 4 (product Gauss), total Monte "
-                   "Carlo nodes above; --seed draws them.")
-@click.option("--seed", type=int, default=0, show_default=True)
+              help="Gauss nodes per angle; only the polar angle above n = 4.")
 @click.option("--tol", type=float, default=None,
               help="Target error; raises an error when the half-resolution "
                    "estimate exceeds it.")
@@ -218,7 +215,7 @@ def cr_solve(conditions: str, tol: float, out: str | None, fmt: str) -> None:
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]),
               default="json", show_default=True)
 def reproduce(conditions: str, function_spec: str, point: str,
-              center: str | None, radius: float, nodes: int, seed: int,
+              center: str | None, radius: float, nodes: int,
               tol: float | None, out: str | None, fmt: str) -> None:
     """Reproduce a solution from its boundary values through the kernel."""
     if tol is not None and not tol > 0:
@@ -233,7 +230,7 @@ def reproduce(conditions: str, function_spec: str, point: str,
     try:
         f = _resolve_function(function_spec, C.table, C.n)
         domain = BallDomain(c, radius)
-        spec = QuadratureSpec(nodes=nodes, seed=seed)
+        spec = QuadratureSpec(nodes=nodes)
         report = boundary_reproduce(f, x, domain, kernel, spec,
                                     target_error=tol)
     except (PointOutsideDomain, QuadratureUnderResolved, ValueError) as exc:
@@ -246,8 +243,6 @@ def reproduce(conditions: str, function_spec: str, point: str,
         "center": c.tolist(),
         "radius": radius,
         "nodes": nodes,
-        "scheme": sphere_rule(C.n),
-        "seed": seed,
     }
     text = [
         f"reproduce {function_spec} through {conditions} kernel",

@@ -29,34 +29,46 @@ polar angle.  The boundary and the volume integrals are then one contraction
 (_moments) with c and the structure constants: G = nu_j f_s / (nu . omega) on
 the boundary, G = df_s/dy_j in the volume.
 
-Every sum streams through the rule in blocks of about CHUNK nodes: whole
-rows of the leading angle of the product Gauss rule, slices of the Monte
-Carlo draws, and CHUNK // nodes directions times their radial points in the
-volume.  Each block goes from its nodes to the values or gradients of f and
-on to a moment partial in one GEMM, and the partials are added in block
-order, so no array spans the whole rule.  The 1-D Gauss-Legendre factors
-are cached; whole rules are not.  MAX_QUADRATURE_NODES caps the nodes of any
-rule before it is built, and MAX_AXIS_NODES the nodes per axis of a Gauss
-rule.
+One sphere rule serves every n, aligned with the pole: omega =
+cos(theta) a + sin(theta) H eta, where the Householder reflection H takes
+e_0 to a = -+(x - center) / |x - center| (e_0 at the center).  theta takes
+spec.nodes Gauss nodes t mapped by theta = pi/2 + delta sinh(U t),
+U = asinh(pi / (2 delta)), which gathers them near the branch points
+pi/2 +- i delta of reach and s, delta = asinh(sqrt(R^2 - |d|^2) / |d|) for
+d = x - center, capped at MAX_POLAR_WIDTH (Johnston & Elliott, 2005).  eta
+takes the product Gauss rule of S^(n-2) for n <= 4 and the degree-5
+symmetric rule of 2 (n - 1)^2 points above (Stroud, 1971).  The error
+estimate halves theta alone, so above n = 4 f must be a polynomial of
+degree <= 3 (<= 2 for the derivative): its integrand, of degree p + 2
+(p + 3) in eta, is then exact in eta.
+
+Every sum streams in blocks of about CHUNK nodes (whole rows of theta, or
+CHUNK // nodes directions times their radial points in the volume), each
+turned into a moment partial by one GEMM and added in block order, so no
+array spans the whole rule.  Only the 1-D Gauss-Legendre factors are
+cached.  MAX_QUADRATURE_NODES caps the nodes of any rule, and
+MAX_AXIS_NODES the Gauss nodes per angle, before anything is built.
 """
 from __future__ import annotations
 
 import functools
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import AlgElem, ball_volume
 from .kernel import CauchyKernel, _point
-from .solutions import _eval_function, condition_values, gradient_values
+from .solutions import AlgPolynomial, _eval_function, condition_values, gradient_values
 
 MIN_NODES = 8
 MAX_QUADRATURE_NODES = 2**22
 MAX_AXIS_NODES = math.isqrt(MAX_QUADRATURE_NODES)
 CHUNK = 4096
 GAUSS_CACHE_SIZE = 16
+MAX_POLAR_WIDTH = 50.0
+SYMMETRIC_RULE_DEGREE = 5
 
 
 class PointOutsideDomain(Exception):
@@ -100,21 +112,12 @@ class BallDomain:
         return self.center.shape[0]
 
 
-def sphere_rule(n: int) -> str:
-    """The rule for the unit (n-1)-sphere: product Gauss-Legendre in
-    hyperspherical angles for n <= 4, antithetic Monte Carlo above (a product
-    rule needs nodes^(n-1) points)."""
-    return "product_gauss" if n <= 4 else "monte_carlo"
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Resolution of the sphere_rule(n) rule: nodes per angle for n <= 4,
-    total Monte Carlo nodes above; seed draws them.  Volume terms add nodes
-    radial points per direction."""
+    """Resolution of the sphere rule: Gauss nodes per angle; only the polar
+    angle above n = 4.  Volume terms add nodes radial points per direction."""
 
     nodes: int = 32
-    seed: int = 0
 
     def __post_init__(self):
         try:
@@ -124,21 +127,6 @@ class QuadratureSpec:
         if nodes < MIN_NODES:
             raise ValueError(f"nodes must be >= {MIN_NODES}")
         object.__setattr__(self, "nodes", nodes)
-        try:
-            seed = operator.index(self.seed)
-        except TypeError:
-            seed = None
-        if seed is None or seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", seed)
-
-
-def _partner_spec(spec: QuadratureSpec) -> QuadratureSpec:
-    """Companion rule for the error estimate: half resolution, or double
-    when halving would go below MIN_NODES."""
-    half = spec.nodes // 2
-    return replace(spec, nodes=half if half >= MIN_NODES else spec.nodes * 2,
-                   seed=spec.seed + 1)
 
 
 @dataclass(frozen=True)
@@ -183,17 +171,16 @@ def _gauss_legendre(k: int):
     return t, w
 
 
-def _sphere_directions_gauss(n: int, k: int, rows: slice = slice(None)):
-    """Unit directions and weights of the product Gauss rule on the given
-    rows of its leading angle; all rows give sum(w) = area of the unit sphere.
+def _sphere_directions_gauss(n: int, k: int):
+    """Unit directions and weights of the product Gauss rule on the unit
+    (n-1)-sphere, sum(w) = its area.
 
     Product Gauss-Legendre rule in hyperspherical angles: n - 2 polar angles
     on [0, pi] and the azimuth on [0, 2 pi], all mapped from one k-node
-    factor.  Cosines, sines and weights are taken per axis (k values each,
-    the leading axis then cut to rows) and broadcast onto the grid in C
-    order, the factors multiplied in axis order, so a node's direction and
-    weight do not depend on which rows are built with it.  The directions
-    are stored coordinate by coordinate and returned as an (N, n) view.
+    factor.  Cosines, sines and weights are taken per axis (k values each)
+    and broadcast onto the grid in C order, the factors multiplied in axis
+    order.  The directions are stored coordinate by coordinate and returned
+    as an (N, n) view.
     """
     if n == 1:
         return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
@@ -202,16 +189,14 @@ def _sphere_directions_gauss(n: int, k: int, rows: slice = slice(None)):
     axes = [(half_pi * t + half_pi, half_pi * wt)] * (n - 2)
     axes.append((math.pi * t + math.pi, math.pi * wt))
     factors = [[np.cos(theta), np.sin(theta), weights] for theta, weights in axes]
-    factors[0] = [values[rows] for values in factors[0]]
-    shape = [len(factors[0][0])] + [k] * (n - 2)
 
     def on_axis(values, axis):
-        return values.reshape([shape[a] if a == axis else 1 for a in range(n - 1)])
+        return values.reshape([k if a == axis else 1 for a in range(n - 1)])
 
     w = np.ones(())
     for axis, (_, _, weights) in enumerate(factors):
         w = w * on_axis(weights, axis)
-    omega = np.empty([n] + shape)
+    omega = np.empty([n] + [k] * (n - 1))
     sin_prod = np.ones(())
     for axis, (cos_theta, sin_theta, _) in enumerate(factors):
         omega[axis] = sin_prod * on_axis(cos_theta, axis)
@@ -223,63 +208,71 @@ def _sphere_directions_gauss(n: int, k: int, rows: slice = slice(None)):
     return omega.reshape(n, -1).T, w.ravel()
 
 
-def _sphere_directions_mc(n: int, total: int, seed: int):
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((total // 2, n))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    omega = np.concatenate([g, -g], axis=0)
-    w = np.full(omega.shape[0], sphere_area(n) / omega.shape[0])
+def _sphere_directions_degree5(m: int):
+    """The fully symmetric degree-5 rule on the unit sphere of R^m (Stroud,
+    1971): the 2m points +-e_i with weight A (4 - m) / (2m (m + 2)) and the
+    2m (m - 1) points (+-e_i +-e_j) / sqrt(2), i < j, with weight
+    A / (m (m + 2)), where A is the area; 2 m^2 directions in all."""
+    eye, (i, j) = np.eye(m), np.triu_indices(m, 1)
+    pairs = np.vstack([eye[i] + eye[j], eye[i] - eye[j]]) / math.sqrt(2.0)
+    omega = np.vstack([eye, -eye, pairs, -pairs])
+    w = np.full(len(omega), sphere_area(m) / (m * (m + 2)))
+    w[: 2 * m] *= 0.5 * (4 - m)
     return omega, w
 
 
-def _direction_blocks(n: int, spec: QuadratureSpec, per_direction: int = 1):
-    """Unit directions and weights of the sphere_rule(n) rule, an iterator
-    of (omega, w) blocks of at most about CHUNK directions.
-
-    A Gauss block is whole rows of the leading angle, a Monte Carlo block a
-    slice of the drawn directions.  Before anything is built, checks that
-    directions * per_direction nodes fit in MAX_QUADRATURE_NODES and, for
-    the Gauss rule, that the nodes per axis fit in MAX_AXIS_NODES.
-    """
-    k = spec.nodes
-    gauss = sphere_rule(n) == "product_gauss"
-    if gauss:
-        # leggauss(k) solves a k x k eigenproblem: bound k before the rule
-        if k > MAX_AXIS_NODES:
-            raise QuadratureTooLarge(
-                f"rule needs {k} nodes per axis; the limit is {MAX_AXIS_NODES}")
-        count = 2 if n == 1 else k ** (n - 1)
-    else:
-        count = 2 * (k // 2)
+def _direction_blocks(x: np.ndarray, domain: BallDomain, spec: QuadratureSpec,
+                      per_direction: int = 1):
+    """Unit directions and weights of the sphere rule aligned with the pole
+    x (see the module docstring), an iterator of (omega, w) blocks of whole
+    rows of theta, at most about CHUNK directions each (at least one row).
+    Checks spec.nodes against MAX_AXIS_NODES and directions * per_direction
+    against MAX_QUADRATURE_NODES before anything is built."""
+    n, k = domain.n, spec.nodes
+    # leggauss(k) solves a k x k eigenproblem: bound k before the rule
+    if k > MAX_AXIS_NODES:
+        raise QuadratureTooLarge(
+            f"rule needs {k} nodes per axis; the limit is {MAX_AXIS_NODES}")
+    around = 2 if n <= 2 else k ** (n - 2) if n <= 4 else 2 * (n - 1) ** 2
+    count = 2 if n == 1 else k * around
     if count * per_direction > MAX_QUADRATURE_NODES:
         raise QuadratureTooLarge(
             f"rule needs {count * per_direction} nodes; "
             f"the limit is {MAX_QUADRATURE_NODES}"
         )
-    if not gauss:
-        omega, w = _sphere_directions_mc(n, k, spec.seed)
-        return ((omega[lo : lo + CHUNK], w[lo : lo + CHUNK])
-                for lo in range(0, count, CHUNK))
     if n == 1:
-        return iter([_sphere_directions_gauss(n, k)])
-    step = max(1, CHUNK // k ** (n - 2))
-    return (_sphere_directions_gauss(n, k, slice(lo, lo + step))
-            for lo in range(0, k, step))
+        return iter([_sphere_directions_gauss(1, k)])
+    eta, w_eta = (_sphere_directions_gauss(n - 1, k) if n <= 4
+                  else _sphere_directions_degree5(n - 1))
+    d = x - domain.center
+    dist = float(np.linalg.norm(d))
+    root = math.sqrt(domain.radius**2 - dist * dist)
+    delta = math.asinh(root / max(dist, root / math.sinh(MAX_POLAR_WIDTH)))
+    U = math.asinh(0.5 * math.pi / delta)
+    t, w_t = _gauss_legendre(k)
+    tilt = delta * np.sinh(U * t)  # theta - pi/2
+    cos_theta, sin_theta = -np.sin(tilt), np.cos(tilt)
+    w_theta = delta * U * np.cosh(U * t) * w_t * sin_theta ** (n - 2)
+    e0 = np.eye(n)[0]
+    e = d / dist if dist > 0 else e0
+    v = e + math.copysign(1.0, e[0]) * e0  # |v| >= sqrt(2): nothing cancels
+    H = np.eye(n) - (2.0 / (v @ v)) * np.outer(v, v)  # takes e_0 to -+e
+    axis, frame = H[:, 0], H[:, 1:] @ eta.T  # frame: (n, directions)
+    step = max(1, CHUNK // len(w_eta))
 
+    def block(rows: slice):
+        omega = (axis[:, None, None] * cos_theta[rows, None]
+                 + frame[:, None, :] * sin_theta[rows, None])
+        return omega.reshape(n, -1).T, (w_theta[rows, None] * w_eta).ravel()
 
-def sphere_quadrature(domain: BallDomain, spec: QuadratureSpec):
-    """Nodes y, outward unit normals nu, and weights w with sum(w) = area:
-    the sphere_rule(n) directions seen from the center, joined."""
-    omega, w = (np.concatenate(parts) for parts in zip(*_direction_blocks(domain.n, spec)))
-    return (domain.radius * omega + domain.center, omega,
-            w * domain.radius ** (domain.n - 1))
+    return (block(slice(lo, lo + step)) for lo in range(0, k, step))
 
 
 def _ray_blocks(x: np.ndarray, domain: BallDomain, spec: QuadratureSpec,
                 per_direction: int):
-    """The sphere_rule(n) directions seen from the pole x, an iterator of
-    (omega, w, reach, s) blocks of at most about CHUNK // per_direction
-    directions.
+    """The directions of the sphere rule aligned with the pole x, an
+    iterator of (omega, w, reach, s) blocks of at most about
+    CHUNK // per_direction directions.
 
     reach is the distance from x to the sphere along omega, so the sphere
     point is y = x + reach omega with normal nu = (d + reach omega) / R, and
@@ -289,12 +282,22 @@ def _ray_blocks(x: np.ndarray, domain: BallDomain, spec: QuadratureSpec,
     d = x - domain.center
     gap = domain.radius**2 - float(d @ d)
     step = max(1, CHUNK // per_direction)
-    for omega_rows, w_rows in _direction_blocks(domain.n, spec, per_direction):
+    for omega_rows, w_rows in _direction_blocks(x, domain, spec, per_direction):
         for lo in range(0, len(w_rows), step):
             omega = omega_rows[lo : lo + step]
             p = omega @ d
             s = np.sqrt(p * p + gap)
             yield omega, w_rows[lo : lo + step], s - p, s
+
+
+def _check_degree_around_axis(f, n: int, extra: int) -> None:
+    """Above n = 4 refuse f unless the rule around the polar axis is exact
+    for it (see the module docstring)."""
+    limit = SYMMETRIC_RULE_DEGREE - extra
+    if n > 4 and not (isinstance(f, AlgPolynomial) and f.degree <= limit):
+        got = f"degree {f.degree}" if isinstance(f, AlgPolynomial) else "a callable"
+        raise ValueError(f"above n = 4 the sphere rule is exact around the polar axis "
+                         f"only for a polynomial f of degree <= {limit} here; got {got}")
 
 
 def _inside_point(x, domain: BallDomain, kernel: CauchyKernel) -> np.ndarray:
@@ -374,13 +377,15 @@ def _reproduction_report(f, x, kernel, spec, term,
 
     term(spec) returns the quadrature value and its node count; with
     target_error set (it must be positive), term is rerun on the partner
-    rule and QuadratureUnderResolved is raised when the two differ by more.
+    rule, of half the nodes (double when half is below MIN_NODES), and
+    QuadratureUnderResolved is raised when the two differ by more.
     """
     if target_error is not None and not target_error > 0:
         raise ValueError(f"target_error must be positive, got {target_error!r}")
     acc, used = term(spec)
     if target_error is not None:
-        partner, _ = term(_partner_spec(spec))
+        half = spec.nodes // 2
+        partner, _ = term(QuadratureSpec(half if half >= MIN_NODES else 2 * spec.nodes))
         estimate = float(np.linalg.norm(acc - partner))
         if estimate > target_error:
             raise QuadratureUnderResolved(
@@ -414,6 +419,7 @@ def boundary_reproduce(
     the estimate exceeds it.
     """
     x = _inside_point(x, domain, kernel)
+    _check_degree_around_axis(f, kernel.n, 2)
     _check_is_solution(f, kernel, x, domain)
     return _reproduction_report(
         f, x, kernel, spec,
@@ -456,6 +462,7 @@ def verify_representation(
     coupling conditions sum_j (df/dy_j) * c[j, i] = 0.
     """
     x = _inside_point(x, domain, kernel)
+    _check_degree_around_axis(f, kernel.n, 2)
 
     def term(s: QuadratureSpec) -> tuple[np.ndarray, int]:
         bnd, used_b = _boundary_term(f, x, domain, kernel, s)
@@ -488,6 +495,7 @@ def derivative_via_kernel(
     if not 0 <= i < kernel.n:
         raise ValueError("derivative direction out of range")
     x = _inside_point(x, domain, kernel)
+    _check_degree_around_axis(f, kernel.n, 3)
     _check_is_solution(f, kernel, x, domain)
 
     n, R, table = kernel.n, domain.radius, kernel.table

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypercauchy import admissibility
 from hypercauchy.algebra import builtin, ball_volume
 from hypercauchy.admissibility import (
     BasisNotAnticommuting,
@@ -13,6 +14,7 @@ from hypercauchy.admissibility import (
     IllConditioned,
     NotCommutative,
     SingularPrincipalMinor,
+    SystemTooLarge,
     a_differentiable_conditions,
     anticommuting_single_condition,
     assemble_system,
@@ -49,6 +51,21 @@ def test_assemble_system_counts():
     assert r.shape == (6,)
     Af, rf = assemble_system(fueter_conditions())
     assert Af.shape == (40, 16)
+
+
+def test_system_over_entry_budget_refused_before_assembly(monkeypatch):
+    # every gallery system fits the default budget; sedenion_single is largest
+    sizes = {c.name: (C := c.build()).equation_count() * C.unknown_count() for c in gallery()}
+    assert max(sizes.values()) == sizes["sedenion_single"] == 557_056
+    assert sizes["sedenion_single"] <= admissibility.MAX_SYSTEM_ENTRIES
+    C = fueter_conditions()  # 40 x 16 entries
+    monkeypatch.setattr(admissibility, "MAX_SYSTEM_ENTRIES", 640)
+    assert assemble_system(C)[0].shape == (40, 16)
+    monkeypatch.setattr(admissibility, "MAX_SYSTEM_ENTRIES", 639)
+    monkeypatch.setattr(np, "zeros", None)  # nothing is allocated first
+    for call in (assemble_system, solve_admissibility, CauchyKernel.from_conditions):
+        with pytest.raises(SystemTooLarge, match="40 x 16 = 640 entries; the limit is 639"):
+            call(C)
 
 
 def test_single_variable_trivial_case():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from hypercauchy import admissibility
 from hypercauchy.admissibility import save_conditions
 from hypercauchy.algebra import builtin
 from hypercauchy.cli import main
@@ -236,27 +237,56 @@ def test_suite_unknown_name_rejected(runner):
 
 
 def test_json_output_deterministic(runner, tmp_path):
-    # seeded Monte Carlo: n = 8 is above the product-Gauss range
+    # n = 8: the symmetric rule around the polar axis
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     args = ["reproduce", "fueter_induced2", "-f", "const",
-            "--point", "0.1,0,0,0,0,0,0,0", "--nodes", "500", "--seed", "9"]
+            "--point", "0.1,0,0,0,0,0,0,0", "--nodes", "500"]
     r1 = runner.invoke(main, args + ["--out", str(out1)])
     r2 = runner.invoke(main, args + ["--out", str(out2)])
     assert r1.exit_code == 0 and r2.exit_code == 0
     assert out1.read_bytes() == out2.read_bytes()
 
 
-@pytest.mark.parametrize("conditions,point,rule", [
-    ("fueter", "0.1,0,0,0", "product_gauss"),
-    ("fueter_induced2", "0.1,0,0,0,0,0,0,0", "monte_carlo"),
+@pytest.mark.parametrize("conditions,point", [
+    ("fueter", "0.1,0,0,0"),
+    ("fueter_induced2", "0.1,0,0,0,0,0,0,0"),
 ])
-def test_reproduce_rule_follows_from_dimension(runner, conditions, point, rule):
+def test_reproduce_rule_follows_from_dimension(runner, conditions, point):
     result = runner.invoke(main, ["reproduce", conditions, "-f", "const",
                                   "--point", point, "--nodes", "64"])
     assert result.exit_code == 0, result.output
     payload = _json_payload(result)
-    assert payload["config"]["scheme"] == rule
-    assert payload["report"]["rel_error"] < 0.02
+    assert "scheme" not in payload["config"] and "seed" not in payload["config"]
+    assert payload["report"]["rel_error"] <= 1e-12
+
+
+def test_reproduce_above_four_dims_meets_a_tight_tol(runner):
+    result = runner.invoke(main, ["reproduce", "fueter_induced2", "-f", "zeta1",
+                                  "--point", "0.3,0.1,0,0,0.2,0,0,0", "--tol", "1e-10"])
+    assert result.exit_code == 0, result.output
+    assert _json_payload(result)["report"]["rel_error"] <= 1e-12
+
+
+def test_reproduce_degree_beyond_symmetric_rule_fails(runner, tmp_path):
+    # a quartic in one variable: above n = 4 the rule is exact to degree 3
+    poly = tmp_path / "quartic.json"
+    exponents = np.zeros((1, 8), dtype=int)
+    exponents[0, 0] = 4
+    poly.write_text(json.dumps({"exponents": exponents.tolist(),
+                                "coeffs": [[1.0, 0.0, 0.0, 0.0]]}))
+    result = runner.invoke(main, ["reproduce", "fueter_induced2", "-f", str(poly),
+                                  "--point", "0.1,0,0,0,0,0,0,0"])
+    assert result.exit_code == 1
+    assert "degree <= 3" in result.output
+
+
+def test_system_over_entry_budget_fails(runner, monkeypatch):
+    monkeypatch.setattr(admissibility, "MAX_SYSTEM_ENTRIES", 100)
+    for args in (["cr-solve", "fueter"],
+                 ["reproduce", "fueter", "-f", "zeta1", "--point", "0.1,0,0,0"]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert "the limit is 100" in result.output
 
 
 def test_cr_solve_tol_validation(runner):
@@ -294,15 +324,6 @@ def test_reproduce_rule_over_node_budget_fails(runner):
     )
     assert result.exit_code == 1
     assert "limit" in result.output
-
-
-def test_reproduce_negative_seed_fails(runner):
-    result = runner.invoke(
-        main, ["reproduce", "fueter_induced2", "-f", "const",
-               "--point", "0.1,0,0,0,0,0,0,0", "--nodes", "500", "--seed", "-1"]
-    )
-    assert result.exit_code == 1
-    assert "seed must be a non-negative integer, got -1" in result.output
 
 
 def test_reproduce_gauss_axis_over_limit_fails(runner, monkeypatch):
