@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product as _iterproduct
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -129,18 +129,6 @@ class AlgPolynomial:
         return [(exps[rows] - np.eye(self.n, dtype=int)[j],
                  self.coeffs[rows] * exps[rows, j : j + 1])
                 for j, rows in enumerate(exps.T > 0)]
-
-    def partial_derivative(self, j: int) -> AlgPolynomial:
-        if not 0 <= j < self.n:
-            raise ValueError(f"no variable {j}: the polynomial has {self.n} variables")
-        mask = self.exponents[:, j] > 0
-        if not mask.any():
-            return AlgPolynomial.constant(self.table, self.n,
-                                          np.zeros(self.table.dim))
-        exps = self.exponents[mask].copy()
-        cfs = self.coeffs[mask] * exps[:, j : j + 1]
-        exps[:, j] -= 1
-        return AlgPolynomial(self.table, exps, cfs)
 
     def __add__(self, other: AlgPolynomial) -> AlgPolynomial:
         self._check_compatible(other)
@@ -267,16 +255,6 @@ def condition_values(conditions: CRConditionSet, f, Y) -> np.ndarray:
     A = np.einsum("mjd,sdk->jsmk", conditions.a, conditions.table.gamma)
     G = gradient_values(f, Y, dim).reshape(len(Y), n * dim)
     return (G @ A.reshape(n * dim, q * dim)).reshape(len(Y), q, dim)
-
-
-def apply_cr_operator(
-    conditions: CRConditionSet,
-    f: AlgPolynomial | Callable[[np.ndarray], np.ndarray],
-    x,
-) -> list[AlgElem]:
-    """The q condition values at the single point x (see condition_values)."""
-    values = condition_values(conditions, f, np.reshape(x, (1, -1)))
-    return [AlgElem(conditions.table, t) for t in values[0]]
 
 
 @dataclass(frozen=True)

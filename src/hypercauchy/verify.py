@@ -18,16 +18,18 @@ sum_j (df/dy_j) * c[j, i] = 0 near x; these are the functions the kernel
 reproduces.  In an associative algebra they follow from the conditions a; in
 a non-associative one they can be stronger.
 
-Every node sum reads one parametrisation, rays from the pole: _ray_blocks
-gives the directions omega of the sphere rule seen from x, their weights,
-the distance reach to the sphere and s = R (nu . omega).  The sphere element
+Every node sum reads one parametrisation, rays from the pole: the
+directions omega of the sphere rule seen from x (_polar_rule), their
+weights, the distance reach to the sphere and s = R (nu . omega), which
+_ray_blocks hands in blocks to the volume and derivative terms.  The sphere element
 reach^(n-1) / (nu . omega) d omega and the ball element r^(n-1) dr d omega
 cancel the kernel's r^-n exactly (Duffy's device), so no node divides by
 r^n, and a pole near the sphere only stretches the integrand along the
 polar angle.  The boundary and the volume integrals are then one contraction
 (_flux_contraction) of the moments M[j, i, s] = sum_t W_t omega_ti G_tjs
-(_moments) with c and the structure constants: G = nu_j f_s / (nu . omega) on
-the boundary, G = df_s/dy_j in the volume.
+with c and the structure constants: G = nu_j f_s / (nu . omega) =
+(y - center)_j f_s / s on the boundary, G = df_s/dy_j in the volume
+(_moments).
 
 One sphere rule serves every n, aligned with the pole: omega =
 cos(theta) a + sin(theta) H eta, where the Householder reflection H takes
@@ -42,9 +44,25 @@ estimate halves theta alone, so above n = 4 f must be a polynomial of
 degree <= 3 (<= 2 for the derivative): its integrand, of degree p + 2
 (p + 3) in eta, is then exact in eta.
 
+The boundary moments are summed row by row of theta.  The frame H[:, 1:]
+is orthogonal to d = x - center, so p = omega . d = cos(theta) (a . d) is
+one number per row, and with it s, reach = s - p and
+y - center = alpha a + beta h, where alpha = a . d + reach cos(theta),
+beta = reach sin(theta) and h = H[:, 1:] eta runs over the same directions
+in every row, of weights w_e.  With row weights u = (w_theta / s) (cos(theta) alpha,
+cos(theta) beta, sin(theta) alpha, sin(theta) beta) and
+A_q[e, s] = sum_r u_q[r] f_s(y_re), the moments split into
+
+    M[j, i, s] = a_i a_j sum_e w_e A_0[e, s] + a_i sum_e w_e h_ej A_1[e, s]
+               + a_j sum_e w_e h_ei A_2[e, s] + sum_e w_e h_ei h_ej A_3[e, s],
+
+so a node costs only y and f(y): each block of rows adds one
+(4, rows) @ (rows, |eta| dim) product to A, and A meets w, w h and w h h^T
+once, after the last block.
+
 Every sum streams in blocks of about CHUNK nodes (whole rows of theta, or
 CHUNK // nodes directions times their radial points in the volume), each
-turned into a moment partial by one GEMM and added in block order, so no
+turned into a partial sum by one GEMM and added in block order, so no
 array spans the whole rule.  Only the 1-D Gauss-Legendre factors are
 cached.  MAX_QUADRATURE_NODES caps the nodes of any rule, and
 MAX_AXIS_NODES the Gauss nodes per angle, before anything is built.
@@ -221,31 +239,41 @@ def _sphere_directions_degree5(m: int):
     return omega, w
 
 
-def _direction_blocks(x: np.ndarray, domain: BallDomain, spec: QuadratureSpec,
-                      per_direction: int = 1):
-    """Unit directions and weights of the sphere rule aligned with the pole
-    x (see the module docstring), an iterator of (omega, w) blocks of whole
-    rows of theta, at most about CHUNK directions each (at least one row).
-    Checks spec.nodes against MAX_AXIS_NODES and directions * per_direction
-    against MAX_QUADRATURE_NODES before anything is built."""
+def _polar_rule(x: np.ndarray, domain: BallDomain, spec: QuadratureSpec,
+                per_direction: int = 1):
+    """The sphere rule aligned with the pole x (see the module docstring) in
+    its factors: the axis a, the frame h = H[:, 1:] eta (n, |eta|) of the
+    directions around it with their weights w_eta, and per row of theta
+    cos(theta), sin(theta) and w_theta.  Direction (r, e) is
+    cos(theta_r) a + sin(theta_r) h_e, of weight w_theta[r] w_eta[e].  At
+    n = 1, a = -1 and the two directions +-1 are two rows, cos(theta) = -+1,
+    around one point h = 0 of weight 1.  Checks spec.nodes against
+    MAX_AXIS_NODES and directions * per_direction against
+    MAX_QUADRATURE_NODES before anything is built."""
     n, k = domain.n, spec.nodes
     # leggauss(k) solves a k x k eigenproblem: bound k before the rule
     if k > MAX_AXIS_NODES:
         raise QuadratureTooLarge(
             f"rule needs {k} nodes per axis; the limit is {MAX_AXIS_NODES}")
-    around = 2 if n <= 2 else k ** (n - 2) if n <= 4 else 2 * (n - 1) ** 2
-    count = 2 if n == 1 else k * around
-    if count * per_direction > MAX_QUADRATURE_NODES:
+    rows = 2 if n == 1 else k
+    around = (1 if n == 1 else 2 if n == 2 else k ** (n - 2) if n <= 4
+              else 2 * (n - 1) ** 2)
+    if rows * around * per_direction > MAX_QUADRATURE_NODES:
         raise QuadratureTooLarge(
-            f"rule needs {count * per_direction} nodes; "
+            f"rule needs {rows * around * per_direction} nodes; "
             f"the limit is {MAX_QUADRATURE_NODES}"
         )
-    if n == 1:
-        return iter([_sphere_directions_gauss(1, k)])
-    eta, w_eta = (_sphere_directions_gauss(n - 1, k) if n <= 4
-                  else _sphere_directions_degree5(n - 1))
     d = x - domain.center
     dist = float(np.linalg.norm(d))
+    e0 = np.eye(n)[0]
+    e = d / dist if dist > 0 else e0
+    v = e + math.copysign(1.0, e[0]) * e0  # |v| >= sqrt(2): nothing cancels
+    H = np.eye(n) - (2.0 / (v @ v)) * np.outer(v, v)  # takes e_0 to -+e
+    if n == 1:
+        return (H[:, 0], np.zeros((1, 1)), np.ones(1),
+                np.array([-1.0, 1.0]), np.zeros(2), np.ones(2))
+    eta, w_eta = (_sphere_directions_gauss(n - 1, k) if n <= 4
+                  else _sphere_directions_degree5(n - 1))
     root = math.sqrt(domain.radius**2 - dist * dist)
     delta = math.asinh(root / max(dist, root / math.sinh(MAX_POLAR_WIDTH)))
     U = math.asinh(0.5 * math.pi / delta)
@@ -253,19 +281,25 @@ def _direction_blocks(x: np.ndarray, domain: BallDomain, spec: QuadratureSpec,
     tilt = delta * np.sinh(U * t)  # theta - pi/2
     cos_theta, sin_theta = -np.sin(tilt), np.cos(tilt)
     w_theta = delta * U * np.cosh(U * t) * w_t * sin_theta ** (n - 2)
-    e0 = np.eye(n)[0]
-    e = d / dist if dist > 0 else e0
-    v = e + math.copysign(1.0, e[0]) * e0  # |v| >= sqrt(2): nothing cancels
-    H = np.eye(n) - (2.0 / (v @ v)) * np.outer(v, v)  # takes e_0 to -+e
-    axis, frame = H[:, 0], H[:, 1:] @ eta.T  # frame: (n, directions)
-    step = max(1, CHUNK // len(w_eta))
+    return H[:, 0], H[:, 1:] @ eta.T, w_eta, cos_theta, sin_theta, w_theta
+
+
+def _direction_blocks(x: np.ndarray, domain: BallDomain, spec: QuadratureSpec,
+                      per_direction: int = 1):
+    """Unit directions and weights of the sphere rule aligned with the pole
+    x, an iterator of (omega, w) blocks of whole rows of theta, at most
+    about CHUNK directions each (at least one row); _polar_rule checks the
+    budgets before anything is built."""
+    axis, frame, w_eta, cos_theta, sin_theta, w_theta = _polar_rule(
+        x, domain, spec, per_direction)
+    n, step = len(axis), max(1, CHUNK // len(w_eta))
 
     def block(rows: slice):
         omega = (axis[:, None, None] * cos_theta[rows, None]
                  + frame[:, None, :] * sin_theta[rows, None])
         return omega.reshape(n, -1).T, (w_theta[rows, None] * w_eta).ravel()
 
-    return (block(slice(lo, lo + step)) for lo in range(0, k, step))
+    return (block(slice(lo, lo + step)) for lo in range(0, len(w_theta), step))
 
 
 def _ray_blocks(x: np.ndarray, domain: BallDomain, spec: QuadratureSpec,
@@ -358,17 +392,39 @@ def _flux_contraction(M: np.ndarray, kernel: CauchyKernel) -> np.ndarray:
 
 
 def _boundary_term(f, x, domain, kernel, spec) -> tuple[np.ndarray, int]:
-    """Integral of f (Flux . nu) over the sphere along rays from x: moments
-    with G = nu_j f_s / (nu . omega) = (y - center)_j f_s / s."""
-    M, used = 0.0, 0
-    for omega, w, reach, s in _ray_blocks(x, domain, spec, 1):
-        Y = x[:, None] + reach * omega.T  # (n, N): coordinate-major
-        fv = _eval_function(f, Y.T, kernel.table.dim)
-        # G is built node axis last, (n, dim, N), for long contiguous runs
-        G = np.multiply(((Y - domain.center[:, None]) / s)[:, None, :], fv.T, order="C")
-        M = M + _moments(omega, w, G.transpose(2, 0, 1))
-        used += len(w)
-    return _flux_contraction(M, kernel), used
+    """Integral of f (Flux . nu) over the sphere along rays from x, summed
+    row by row (see the module docstring): per node only y and f(y), the
+    row weights u_q contracted with f over each block of rows into
+    A[q, e, s], then A with w, w h and w h h^T into the moments."""
+    a, h, w_eta, cos_theta, sin_theta, w_theta = _polar_rule(x, domain, spec)
+    (n, around), dim = h.shape, kernel.table.dim
+    d = x - domain.center
+    ad = float(a @ d)
+    p = cos_theta * ad  # omega . d: h is orthogonal to d
+    s = np.sqrt(p * p + (domain.radius**2 - float(d @ d)))
+    reach = s - p
+    alpha, beta = ad + reach * cos_theta, reach * sin_theta  # y - center = alpha a + beta h
+    u = (w_theta / s) * np.stack([cos_theta * alpha, cos_theta * beta,
+                                  sin_theta * alpha, sin_theta * beta])
+    base = x[:, None] + (reach * cos_theta) * a[:, None]  # (n, rows)
+    # whole rows of theta, a row wider than CHUNK cut around the axis
+    step, width = max(1, CHUNK // around), min(around, CHUNK)
+    A = np.zeros((4, around, dim))
+    for lo in range(0, len(s), step):
+        rows = slice(lo, lo + step)
+        for e in range(0, around, width):
+            cols = slice(e, e + width)
+            Y = base[:, rows, None] + beta[rows, None] * h[:, None, cols]
+            fv = _eval_function(f, Y.reshape(n, -1).T, dim)
+            A[:, cols] += (u[:, rows] @ fv.reshape(Y.shape[1], -1)).reshape(4, -1, dim)
+    hw = h * w_eta
+    T0, T1, T2 = w_eta @ A[0], hw @ A[1], hw @ A[2]
+    # w h h^T: one small product per i, not one (n^2, |eta|) @ (|eta|, dim)
+    # GEMM, which BLAS may split over threads and round differently
+    T3 = np.stack([hw @ (h_i[:, None] * A[3]) for h_i in h], axis=1)
+    M = (np.multiply.outer(np.outer(a, a), T0) + a[None, :, None] * T1[:, None, :]
+         + a[:, None, None] * T2[None, :, :] + T3)
+    return _flux_contraction(M, kernel), len(s) * around
 
 
 def _reproduction_report(f, x, kernel, spec, term,

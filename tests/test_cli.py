@@ -343,7 +343,15 @@ def test_reproduce_gauss_axis_over_limit_fails(runner, monkeypatch):
 @pytest.mark.parametrize("args", [
     ["reproduce", "fueter", "-f", "zeta1", "--point", "0.1,0.2,0,0", "--nodes", "32"],
     ["cr-solve", "m2r_q3"],
-], ids=["reproduce", "cr-solve"])
+    # n = 8 and 16: rows of 98 and 450 directions around the axis
+    ["reproduce", "octonion_single", "-f", "const", "--point", "0.1,0,0,0,0,0,0,0",
+     "--nodes", "2000"],
+    ["reproduce", "fueter_induced2", "-f", "zeta1", "--point", "0.3,0.1,0,0,0.2,0,0,0",
+     "--nodes", "200"],
+    ["reproduce", "sedenion_single", "-f", "zeta1",
+     "--point", "0.1,0,0,0,0,0,0,0,0,0,0,0,0,0,0.05,0", "--nodes", "32"],
+], ids=["reproduce", "cr-solve", "reproduce-octonion", "reproduce-induced2",
+        "reproduce-sedenion"])
 def test_output_identical_across_blas_thread_counts(args):
     default = _run_cli(args)
     single = _run_cli(args, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")

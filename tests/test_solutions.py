@@ -8,7 +8,6 @@ from hypercauchy.solutions import (
     DEFAULT_FD_STEP,
     EVAL_BLOCK,
     AlgPolynomial,
-    apply_cr_operator,
     condition_values,
     gradient_values,
     monomial_exponents,
@@ -50,10 +49,8 @@ def test_polynomial_arithmetic_matches_complex_numbers():
     )
     assert f.degree == 3
     # d/dx0 (z^3) = 3 z^2
-    df = (z * z * z).partial_derivative(0)
-    np.testing.assert_allclose(
-        df.evaluate(x).coeffs, [(3 * w**2).real, (3 * w**2).imag], atol=1e-14
-    )
+    df = gradient_values(z * z * z, x[None, :], 2)[0, 0]
+    np.testing.assert_allclose(df, [(3 * w**2).real, (3 * w**2).imag], atol=1e-14)
 
 
 def test_eval_batch_matches_pointwise():
@@ -100,11 +97,8 @@ def test_fueter_degree1_contains_zeta():
     for l in (1, 2, 3):
         zeta = _fueter_zeta(l)
         assert basis.contains(zeta)
-        worst = max(
-            t.norm()
-            for t in apply_cr_operator(fueter_conditions(), zeta, np.ones(4) / 3)
-        )
-        assert worst <= 1e-14
+        values = condition_values(fueter_conditions(), zeta, np.ones((1, 4)) / 3)
+        assert np.abs(values).max() <= 1e-14
 
 
 def test_full_derivative_conditions_only_constants():
@@ -125,27 +119,26 @@ def test_nullspace_dimension_monotone_in_degree():
         assert all(d2 >= d1 for d1, d2 in zip(dims, dims[1:]))
 
 
-def test_apply_cr_operator_examples():
+def test_condition_values_examples():
     C = dbar_conditions()
     table = C.table
-    x = np.array([0.3, 0.1])
+    x = np.array([[0.3, 0.1]])
     const = AlgPolynomial.constant(table, 2, [2.0, -1.0])
-    assert all(t.norm() == 0.0 for t in apply_cr_operator(C, const, x))
+    assert not condition_values(C, const, x).any()
     # f = (first coordinate)^2 * e_0: condition value is 2 x_first * e_0
     y1sq = AlgPolynomial.coordinate(table, 2, 0) * AlgPolynomial.coordinate(
         table, 2, 0
     )
-    (t0,) = apply_cr_operator(C, y1sq, x)
-    np.testing.assert_allclose(t0.coeffs, [0.6, 0.0], atol=1e-14)
+    np.testing.assert_allclose(condition_values(C, y1sq, x), [[[0.6, 0.0]]], atol=1e-14)
 
 
-def test_apply_cr_operator_finite_differences_on_callable():
+def test_condition_values_finite_differences_on_callable():
     C = dbar_conditions()
 
     def f(y):
         return np.array([np.exp(y[0]) * np.cos(y[1]), np.exp(y[0]) * np.sin(y[1])])
 
-    worst = max(t.norm() for t in apply_cr_operator(C, f, np.array([0.3, 0.1])))
+    worst = np.linalg.norm(condition_values(C, f, np.array([[0.3, 0.1]])))
     assert worst < 1e-8  # h^2 accuracy of the central difference
 
 
@@ -172,10 +165,10 @@ def test_eval_batch_names_width_mismatch():
     with pytest.raises(ValueError, match=r"shape \(1, 2, 3\)"):
         p.eval_batch(np.zeros((1, 2, 3)))
     with pytest.raises(ValueError, match="3 variables"):
-        apply_cr_operator(fueter_conditions(), p, np.zeros(4))
+        condition_values(fueter_conditions(), p, np.zeros((1, 4)))
     # a callable has no width of its own: the conditions name the mismatch
     with pytest.raises(ValueError, match=r"shape \(1, 3\) but the conditions have 4"):
-        apply_cr_operator(fueter_conditions(), lambda y: np.zeros(4), np.zeros(3))
+        condition_values(fueter_conditions(), lambda y: np.zeros(4), np.zeros((1, 3)))
 
 
 def test_polynomial_needs_a_variable():
@@ -186,13 +179,23 @@ def test_polynomial_needs_a_variable():
 # -- parity with the per-point condition operator -------------------------------
 
 
-def _apply_cr_operator_per_point(conditions, f, x, h=DEFAULT_FD_STEP):
-    """The per-point operator condition_values replaced: (q, dim) at x."""
+def _partial_derivative(p, j):
+    """dp/dx_j as a polynomial, monomial by monomial."""
+    rows = p.exponents[:, j] > 0
+    if not rows.any():
+        return AlgPolynomial.constant(p.table, p.n, np.zeros(p.table.dim))
+    return AlgPolynomial(p.table, p.exponents[rows] - np.eye(p.n, dtype=int)[j],
+                         p.coeffs[rows] * p.exponents[rows, j : j + 1])
+
+
+def _condition_values_per_point(conditions, f, x, h=DEFAULT_FD_STEP):
+    """The condition values at the single point x, one product at a time:
+    (q, dim)."""
     table, n, q = conditions.table, conditions.n, conditions.q
     derivs = np.zeros((n, table.dim))
     for j in range(n):
         if isinstance(f, AlgPolynomial):
-            derivs[j] = f.partial_derivative(j).evaluate(x).coeffs
+            derivs[j] = _partial_derivative(f, j).evaluate(x).coeffs
         else:
             step = np.zeros(n)
             step[j] = h
@@ -216,7 +219,7 @@ def test_gradient_values_match_partial_derivative_loop(n):
     p = _random_polynomial(table, n, 3, rng)
     Y = rng.uniform(-1.5, 1.5, size=(EVAL_BLOCK + 37, n))
     got = gradient_values(p, Y, table.dim)
-    ref = np.stack([p.partial_derivative(j).eval_batch(Y) for j in range(n)], axis=1)
+    ref = np.stack([_partial_derivative(p, j).eval_batch(Y) for j in range(n)], axis=1)
     assert got.shape == (len(Y), n, table.dim)
     np.testing.assert_array_equal(got, ref)
     # a variable that appears in no monomial has derivative exactly zero
@@ -245,14 +248,12 @@ def test_condition_values_match_per_point_operator(case):
     Y = rng.normal(size=(7, C.n))
     for f in [*basis, generic]:
         got = condition_values(C, f, Y)
-        ref = np.stack([_apply_cr_operator_per_point(C, f, y) for y in Y])
+        ref = np.stack([_condition_values_per_point(C, f, y) for y in Y])
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
-        single = np.stack([[t.coeffs for t in apply_cr_operator(C, f, y)] for y in Y])
-        np.testing.assert_allclose(single, ref, rtol=1e-12, atol=1e-12)
     # callables take central differences, node by node
     smooth = lambda y: np.tanh(generic.evaluate(y).coeffs)  # noqa: E731
     got = condition_values(C, smooth, Y)
-    ref = np.stack([_apply_cr_operator_per_point(C, smooth, y) for y in Y])
+    ref = np.stack([_condition_values_per_point(C, smooth, y) for y in Y])
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypercauchy import verify
 from hypercauchy.admissibility import CRConditionSet, solve_admissibility
 from hypercauchy.algebra import AlgebraTable, ball_volume, builtin
 from hypercauchy.families import (
@@ -18,7 +19,6 @@ from hypercauchy.families import (
 from hypercauchy.kernel import CauchyKernel, kernel_field_batch
 from hypercauchy.solutions import (
     AlgPolynomial,
-    apply_cr_operator,
     condition_values,
     gradient_values,
     monomial_exponents,
@@ -447,9 +447,8 @@ def test_callable_returning_alg_elem_is_evaluated():
     got = derivative_via_kernel(f, x, 1, D, K, spec)
     ref = derivative_via_kernel(p, x, 1, D, K, spec)
     np.testing.assert_allclose(got.value.coeffs, ref.value.coeffs, atol=1e-14)
-    for t_f, t_p in zip(apply_cr_operator(K.conditions, f, x),
-                        apply_cr_operator(K.conditions, p, x)):
-        np.testing.assert_allclose(t_f.coeffs, t_p.coeffs, atol=1e-8)
+    np.testing.assert_allclose(condition_values(K.conditions, f, x[None, :]),
+                               condition_values(K.conditions, p, x[None, :]), atol=1e-8)
 
 
 def test_wrong_length_point_rejected_by_name():
@@ -830,6 +829,43 @@ def test_streamed_terms_match_whole_rule_sums_above_four_dims():
     _check_streamed_terms(5, 300, seed=7)
 
 
+@pytest.mark.parametrize("name,k,chunk", [
+    ("octonion_single", 24, CHUNK), ("sedenion_single", 12, CHUNK),
+    # rows of 144 directions cut around the axis into 50, 50 and 44
+    ("fueter", 12, 50),
+])
+def test_boundary_sum_matches_whole_rule_sum(name, k, chunk, monkeypatch):
+    # the row-by-row boundary sum against the textbook per-node sum over the
+    # whole rule seen from x, flux from kernel_field_batch (r^-n included)
+    # and dS = w reach^(n-1) R / s, for a random polynomial of degree <= 3
+    # and a constant; n = 8 and 16 lie beyond _check_streamed_terms
+    monkeypatch.setattr(verify, "CHUNK", chunk)
+    K = _gallery_kernel(name)
+    n, table, dim = K.n, K.table, K.table.dim
+    rng = np.random.default_rng(k)
+    D = BallDomain(rng.uniform(-1.0, 1.0, n), rng.uniform(0.5, 2.0))
+    u = rng.normal(size=n)
+    x = D.center + D.radius * rng.uniform(0.0, 0.9) * u / np.linalg.norm(u)
+    # 40 random monomials of degree <= 3: the full layout at n = 16 would
+    # enumerate 4^16 exponent tuples
+    exponents = np.zeros((40, n), dtype=int)
+    for row, degree in zip(exponents, rng.integers(0, 4, size=40)):
+        np.add.at(row, rng.integers(n, size=degree), 1)
+    cubic = AlgPolynomial(table, exponents, rng.normal(size=(40, dim)))
+    const = AlgPolynomial.constant(table, n, rng.normal(size=dim))
+    assert cubic.degree == 3
+    spec = QuadratureSpec(nodes=k)
+    omega, w, reach, s, Y, nu = _whole_rays(D, spec, x)
+    dS = w * reach ** (n - 1) * D.radius / s
+    normal_flux = np.einsum("tjd,tj->td", kernel_field_batch(K, x, Y), nu)
+    for f in (cubic, const):
+        got, used = _boundary_term(f, x, D, K, spec)
+        assert used == len(w)
+        fv = f.eval_batch(Y)
+        _assert_streamed(got, dS[:, None] * np.einsum("ts,td,sdk->tk", fv, normal_flux,
+                                                      table.gamma))
+
+
 def test_boundary_reproduce_memory_stays_within_a_few_blocks():
     # 64^3 = 262,144 nodes; the whole rule alone would be 8 MB of nodes
     K = _fueter_kernel()
@@ -874,6 +910,23 @@ def test_pole_aligned_rule_moments(n, seed, at_center, k):
     assert np.linalg.norm(w @ omega) <= 1e-12 * area
     assert np.abs((omega.T * w) @ omega - area / n * np.eye(n)).max() <= 1e-12 * area
     assert np.linalg.norm(w_k @ omega_k) <= 1e-9 * area
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
+       at_center=st.booleans(), k=st.integers(8, 40))
+def test_polar_projection_is_constant_along_each_row(n, seed, at_center, k):
+    # the boundary sum takes omega . (x - c) = cos(theta) (a . (x - c)) once
+    # per row of theta, which holds only if the frame around the axis is
+    # orthogonal to x - c
+    rng = np.random.default_rng(seed)
+    D = BallDomain(rng.uniform(-1.0, 1.0, n), rng.uniform(0.5, 2.0))
+    u = rng.normal(size=n)
+    distance = 0.0 if at_center else rng.uniform(0.0, 0.999999) * D.radius
+    x = D.center + distance * u / np.linalg.norm(u)
+    omega, _ = _joined(_direction_blocks(x, D, QuadratureSpec(k)))
+    p = (omega @ (x - D.center)).reshape(k, -1)  # one row of theta per line
+    assert np.abs(p - p[:, :1]).max() <= 1e-14 * np.linalg.norm(x - D.center)
 
 
 def test_reproduce_zeta1_at_the_sphere_edge():
