@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product as _iterproduct
+from itertools import combinations_with_replacement
 from typing import Sequence
 
 import numpy as np
@@ -24,13 +24,14 @@ EVAL_BLOCK = 1024
 
 
 def monomial_exponents(n: int, degree: int) -> list[tuple[int, ...]]:
-    """All exponent tuples with total degree <= degree, graded lex order."""
+    """All exponent tuples with total degree <= degree, graded lex order.
+
+    Each level of total degree is built from the multisets of its variables,
+    C(n + total - 1, total) of them, not filtered from all tuples."""
     out: list[tuple[int, ...]] = []
     for total in range(degree + 1):
-        level = [e for e in _iterproduct(range(total + 1), repeat=n)
-                 if sum(e) == total]
-        level.sort()
-        out.extend(level)
+        out.extend(sorted(tuple(map(variables.count, range(n)))
+                          for variables in combinations_with_replacement(range(n), total)))
     return out
 
 

@@ -151,6 +151,18 @@ def test_reproduce_zeta1(runner):
     assert _json_payload(result)["report"]["rel_error"] < 1e-6
 
 
+def test_reproduce_at_a_zero_of_f_reports_the_absolute_error(runner):
+    # zeta1 vanishes at the origin: rel_error falls back to abs_error there
+    result = runner.invoke(
+        main,
+        ["reproduce", "fueter", "-f", "zeta1", "--point", "0,0,0,0", "--nodes", "16"],
+    )
+    assert result.exit_code == 0
+    report = _json_payload(result)["report"]
+    assert report["expected"] == [0.0, 0.0, 0.0, 0.0]
+    assert report["rel_error"] == report["abs_error"] <= 1e-12
+
+
 def test_reproduce_polynomial_file(runner, tmp_path):
     poly = tmp_path / "poly.json"
     # first coordinate times e_0 plus second times e_1: this is z, holomorphic

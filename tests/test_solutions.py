@@ -1,3 +1,6 @@
+import itertools
+import time
+
 import numpy as np
 import pytest
 
@@ -36,6 +39,30 @@ def test_monomial_layout_graded():
     assert layout == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
     totals = [sum(e) for e in layout]
     assert totals == sorted(totals)
+
+
+def _monomial_exponents_by_filter(n, degree):
+    # the reference: every tuple of (degree + 1)^n, kept by total degree
+    out = []
+    for total in range(degree + 1):
+        out.extend(sorted(e for e in itertools.product(range(total + 1), repeat=n)
+                          if sum(e) == total))
+    return out
+
+
+@pytest.mark.parametrize("degree", range(5))
+@pytest.mark.parametrize("n", range(1, 5))
+def test_monomial_layout_matches_filtered_tuples(n, degree):
+    assert monomial_exponents(n, degree) == _monomial_exponents_by_filter(n, degree)
+
+
+def test_monomial_layout_of_many_variables_is_quick():
+    # 969 = C(19, 3) monomials, not a filter over 4^16 tuples
+    start = time.perf_counter()
+    layout = monomial_exponents(16, 3)
+    assert time.perf_counter() - start < 1.0
+    assert len(layout) == 969 == len(set(layout))
+    assert [sum(e) for e in layout] == sorted(sum(e) for e in layout)
 
 
 def test_polynomial_arithmetic_matches_complex_numbers():

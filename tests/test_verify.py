@@ -846,12 +846,8 @@ def test_boundary_sum_matches_whole_rule_sum(name, k, chunk, monkeypatch):
     D = BallDomain(rng.uniform(-1.0, 1.0, n), rng.uniform(0.5, 2.0))
     u = rng.normal(size=n)
     x = D.center + D.radius * rng.uniform(0.0, 0.9) * u / np.linalg.norm(u)
-    # 40 random monomials of degree <= 3: the full layout at n = 16 would
-    # enumerate 4^16 exponent tuples
-    exponents = np.zeros((40, n), dtype=int)
-    for row, degree in zip(exponents, rng.integers(0, 4, size=40)):
-        np.add.at(row, rng.integers(n, size=degree), 1)
-    cubic = AlgPolynomial(table, exponents, rng.normal(size=(40, dim)))
+    layout = monomial_exponents(n, 3)
+    cubic = AlgPolynomial(table, layout, rng.normal(size=(len(layout), dim)))
     const = AlgPolynomial.constant(table, n, rng.normal(size=dim))
     assert cubic.degree == 3
     spec = QuadratureSpec(nodes=k)
@@ -880,6 +876,84 @@ def test_boundary_reproduce_memory_stays_within_a_few_blocks():
         tracemalloc.stop()
     assert rep.nodes == 64**3 and rep.rel_error < 1e-10
     assert peak < 4e6
+
+
+# -- the row sum of a polynomial on 2p + 1 angles ---------------------------------
+
+
+class _Opaque:
+    """A polynomial behind an eval_batch that is not an AlgPolynomial's, so
+    the boundary sum evaluates it on the rule's own rows, in the same blocks."""
+
+    def __init__(self, f):
+        self.eval_batch = f.eval_batch
+
+
+@pytest.mark.parametrize("radius", [0.5, 0.99, 0.9999])
+@pytest.mark.parametrize("name,k", [
+    ("dbar", 32), ("fueter", 16), ("m2r_q3", 16), ("octonion_single", 16),
+    ("fueter_induced2", 16), ("sedenion_single", 12),
+])
+def test_polynomial_row_sum_matches_the_rule_rows(name, k, radius):
+    # a cubic and a constant (p = 0, one angle) summed on 2p + 1 angles
+    # against the same functions as plain callables, called once per node of
+    # the rule, in an off-center ball
+    K = _gallery_kernel(name)
+    n, table, dim = K.n, K.table, K.table.dim
+    rng = np.random.default_rng(n)
+    D = BallDomain(rng.uniform(-1.0, 1.0, n), 1.5)
+    u = rng.normal(size=n)
+    x = D.center + radius * D.radius * u / np.linalg.norm(u)
+    layout = monomial_exponents(n, 3)
+    cubic = AlgPolynomial(table, layout, rng.normal(size=(len(layout), dim)))
+    const = AlgPolynomial.constant(table, n, rng.normal(size=dim))
+    spec = QuadratureSpec(nodes=k)
+    for f in (cubic, const):
+        got, used = _boundary_term(f, x, D, K, spec)
+        ref, used_ref = _boundary_term(lambda y: f.evaluate(y), x, D, K, spec)
+        assert used == used_ref
+        assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+def _count_points(monkeypatch):
+    """Record the number of points of every AlgPolynomial.eval_batch call."""
+    counts = []
+    eval_batch = AlgPolynomial.eval_batch
+
+    def counting(self, X):
+        counts.append(len(X))
+        return eval_batch(self, X)
+
+    monkeypatch.setattr(AlgPolynomial, "eval_batch", counting)
+    return counts
+
+
+def test_polynomial_row_sum_evaluates_2p_plus_1_rows(monkeypatch):
+    # Fueter zeta1 (p = 1) at k = 32: 3 rows of k^2 directions, not k rows
+    K, f, D = _fueter_kernel(), _zeta1(), BallDomain(np.zeros(4), 1.0)
+    x = np.array([0.1, 0.2, 0.0, 0.0])
+    counts = _count_points(monkeypatch)
+    _, used = _boundary_term(f, x, D, K, QuadratureSpec(nodes=32))
+    assert sum(counts) == 3 * 32**2 and used == 32**3
+
+
+@pytest.mark.parametrize("k,rows", [(9, 9), (10, 9)], ids=["rule-rows", "angles"])
+def test_polynomial_row_sum_falls_back_to_the_rule_rows(k, rows, monkeypatch):
+    # a quartic needs 2p + 1 = 9 angles: at k = 9 the rule's own rows are
+    # summed, bit-equal with the same polynomial seen as an opaque function
+    K, D = _fueter_kernel(), BallDomain(np.full(4, 0.2), 1.3)
+    y0 = AlgPolynomial.coordinate(K.table, 4, 0)
+    quartic = y0 * y0 * y0 * y0 + 2.0 * _zeta1()
+    x = np.array([0.5, -0.1, 0.3, 0.6])
+    spec = QuadratureSpec(nodes=k)
+    ref, _ = _boundary_term(_Opaque(quartic), x, D, K, spec)
+    counts = _count_points(monkeypatch)
+    got, used = _boundary_term(quartic, x, D, K, spec)
+    assert sum(counts) == rows * k**2 and used == k**3
+    if rows == k:
+        assert np.array_equal(got, ref)
+    else:
+        assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
 # -- the sphere rule aligned with the pole ---------------------------------------
