@@ -18,18 +18,17 @@ sum_j (df/dy_j) * c[j, i] = 0 near x; these are the functions the kernel
 reproduces.  In an associative algebra they follow from the conditions a; in
 a non-associative one they can be stronger.
 
-Every node sum reads one parametrisation, rays from the pole: the
-directions omega of the sphere rule seen from x (_polar_rule), their
-weights, the distance reach to the sphere and s = R (nu . omega), which
-_ray_blocks hands in blocks to the volume and derivative terms.  The sphere element
-reach^(n-1) / (nu . omega) d omega and the ball element r^(n-1) dr d omega
-cancel the kernel's r^-n exactly (Duffy's device), so no node divides by
-r^n, and a pole near the sphere only stretches the integrand along the
-polar angle.  The boundary and the volume integrals are then one contraction
-(_flux_contraction) of the moments M[j, i, s] = sum_t W_t omega_ti G_tjs
-with c and the structure constants: G = nu_j f_s / (nu . omega) =
-(y - center)_j f_s / s on the boundary, G = df_s/dy_j in the volume
-(_moments).
+Every node sum reads one parametrisation, rays from the pole: the sphere
+rule seen from x in its factors (_polar_rule), which give the directions
+omega, their weights, the distance reach to the sphere and
+s = R (nu . omega).  The sphere element reach^(n-1) / (nu . omega) d omega
+and the ball element r^(n-1) dr d omega cancel the kernel's r^-n exactly
+(Duffy's device), so no node divides by r^n, and a pole near the sphere
+only stretches the integrand along the polar angle.  The boundary and the
+volume integrals are then one contraction (_flux_contraction) of the
+moments M[j, i, s] = sum_t W_t omega_ti G_tjs with c and the structure
+constants: G = nu_j f_s / (nu . omega) = (y - center)_j f_s / s on the
+boundary, G = df_s/dy_j in the volume.
 
 One sphere rule serves every n, aligned with the pole: omega =
 cos(theta) a + sin(theta) H eta, where the Householder reflection H takes
@@ -44,21 +43,33 @@ estimate halves theta alone, so above n = 4 f must be a polynomial of
 degree <= 3 (<= 2 for the derivative): its integrand, of degree p + 2
 (p + 3) in eta, is then exact in eta.
 
-The boundary moments are summed row by row of theta.  The frame H[:, 1:]
-is orthogonal to d = x - center, so p = omega . d = cos(theta) (a . d) is
-one number per row, and with it s, reach = s - p and
+Both moments are summed row by row (_row_sums).  The frame H[:, 1:] is
+orthogonal to d = x - center, so p = omega . d = cos(theta) (a . d) is one
+number per row of theta, and with it s = sqrt(p^2 + R^2 - |d|^2), the
+reach = s - p to the sphere point y = x + reach omega and
 y - center = alpha a + beta h, where alpha = a . d + reach cos(theta),
 beta = reach sin(theta) and h = H[:, 1:] eta runs over the same directions
-in every row, of weights w_e.  With row weights u = (w_theta / s) (cos(theta) alpha,
-cos(theta) beta, sin(theta) alpha, sin(theta) beta) and
-A_q[e, s] = sum_r u_q[r] f_s(y_re), the moments split into
+in every row, of weights w_e.  On the boundary, with the row weights
+u = (w_theta / s) (cos(theta) alpha, cos(theta) beta, sin(theta) alpha,
+sin(theta) beta) and A_q[e, s] = sum_r u_q[r] f_s(y_re), the moments split
+into
 
     M[j, i, s] = a_i a_j sum_e w_e A_0[e, s] + a_i sum_e w_e h_ej A_1[e, s]
-               + a_j sum_e w_e h_ei A_2[e, s] + sum_e w_e h_ei h_ej A_3[e, s],
+               + a_j sum_e w_e h_ei A_2[e, s] + sum_e w_e h_ei h_ej A_3[e, s].
 
-so a node costs only y and f(y): each block of rows adds one
-(4, rows) @ (rows, |eta| dim) product to A, and A meets w, w h and w h h^T
-once, after the last block.
+In the volume a row is a pair (theta_r, t_q) of a polar angle and a radial
+Gauss node on [0, 1], of weight t_w[q]: its points y = x + t_q reach_r omega
+lie at x + t_q reach_r cos(theta_r) a plus t_q reach_r sin(theta_r) along
+h.  omega_i = cos(theta) a_i + sin(theta) h_ei splits the integrand
+reach omega_i df_s/dy_j: with the two row weights
+u = w_theta reach t_w (cos(theta), sin(theta)) and
+A_q[e, j, s] = sum_r u_q[r] df_s/dy_j(y_re),
+
+    M[j, i, s] = a_i sum_e w_e A_0[e, j, s] + sum_e w_e h_ei A_1[e, j, s].
+
+So a node costs only y and f(y) (df(y) in the volume): each block of rows
+adds one (rows of u, rows) @ (rows, |eta| m) product to A, and A meets w,
+w h and w h h^T once, after the last block, one small product per i.
 
 The row sum of a polynomial.  Every boundary point is y = center +
 alpha a + beta h with alpha^2 + beta^2 = R^2, so for a fixed h_e a
@@ -76,18 +87,20 @@ is evaluated on those 2p + 1 rows, any other f on the rule's own rows.
 The rule, its weights, its node count and the error estimate stay those
 of the rule.
 
-Every sum streams in blocks of about CHUNK nodes (whole rows of theta, or
-CHUNK // nodes directions times their radial points in the volume), each
-turned into a partial sum by one GEMM and added in block order, so no
-array spans the whole rule.  Only the 1-D Gauss-Legendre factors are
-cached.  MAX_QUADRATURE_NODES caps the nodes of any rule, and
-MAX_AXIS_NODES the Gauss nodes per angle, before anything is built.
+Every sum streams in blocks of about CHUNK nodes that one walker,
+_row_blocks, cuts for all three terms: whole rows, a row wider than CHUNK
+cut around the axis.  Each block is turned into a partial sum by one GEMM
+and added in block order, so no array spans the whole rule.  Only the 1-D
+Gauss-Legendre factors are cached.  MAX_QUADRATURE_NODES caps the nodes of
+any rule, and MAX_AXIS_NODES the Gauss nodes per angle, before anything is
+built.
 """
 from __future__ import annotations
 
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,6 +152,10 @@ class BallDomain:
         radius = float(radius)
         if not (radius > 0 and math.isfinite(radius)):
             raise ValueError("ball radius must be positive and finite")
+        # the node sums square lengths of up to 2 R: keep them normal floats
+        lo, hi = math.sqrt(sys.float_info.min), 0.5 * math.sqrt(sys.float_info.max)
+        if not lo <= radius <= hi:
+            raise ValueError(f"ball radius {radius:.6g} is outside [{lo:.3g}, {hi:.3g}]")
         object.__setattr__(self, "radius", radius)
 
     @property
@@ -308,44 +325,30 @@ def _polar_rule(x: np.ndarray, domain: BallDomain, spec: QuadratureSpec,
     return H[:, 0], H[:, 1:] @ eta.T, w_eta, cos_theta, sin_theta, w_theta
 
 
-def _direction_blocks(x: np.ndarray, domain: BallDomain, spec: QuadratureSpec,
-                      per_direction: int = 1):
-    """Unit directions and weights of the sphere rule aligned with the pole
-    x, an iterator of (omega, w) blocks of whole rows of theta, at most
-    about CHUNK directions each (at least one row); _polar_rule checks the
-    budgets before anything is built."""
-    axis, frame, w_eta, cos_theta, sin_theta, w_theta = _polar_rule(
-        x, domain, spec, per_direction)
-    n, step = len(axis), max(1, CHUNK // len(w_eta))
-
-    def block(rows: slice):
-        omega = (axis[:, None, None] * cos_theta[rows, None]
-                 + frame[:, None, :] * sin_theta[rows, None])
-        return omega.reshape(n, -1).T, (w_theta[rows, None] * w_eta).ravel()
-
-    return (block(slice(lo, lo + step)) for lo in range(0, len(w_theta), step))
+def _row_blocks(rows: int, around: int):
+    """(rows, cols) slices of about CHUNK nodes each, the one blocking of
+    every node sum: whole rows of a rule of rows x around nodes, a row wider
+    than CHUNK cut around the axis."""
+    step, width = max(1, CHUNK // around), min(around, CHUNK)
+    for lo in range(0, rows, step):
+        for e in range(0, around, width):
+            yield slice(lo, lo + step), slice(e, e + width)
 
 
-def _ray_blocks(x: np.ndarray, domain: BallDomain, spec: QuadratureSpec,
-                per_direction: int):
-    """The directions of the sphere rule aligned with the pole x, an
-    iterator of (omega, w, reach, s) blocks of at most about
-    CHUNK // per_direction directions.
-
-    reach is the distance from x to the sphere along omega, so the sphere
-    point is y = x + reach omega with normal nu = (d + reach omega) / R, and
-    s = R (nu . omega) = sqrt(p^2 + R^2 - |d|^2), where p = omega . d and
-    d = x - center.  The sphere element is dS = reach^(n-1) R / s d omega.
-    """
-    d = x - domain.center
-    gap = domain.radius**2 - float(d @ d)
-    step = max(1, CHUNK // per_direction)
-    for omega_rows, w_rows in _direction_blocks(x, domain, spec, per_direction):
-        for lo in range(0, len(w_rows), step):
-            omega = omega_rows[lo : lo + step]
-            p = omega @ d
-            s = np.sqrt(p * p + gap)
-            yield omega, w_rows[lo : lo + step], s - p, s
+def _row_sums(F, base, beta, h, u) -> np.ndarray:
+    """A[q, e] = sum_r u[q, r] F(base_r + beta_r h_e), for points base
+    (n, rows), reach beta (rows,) along the directions h (n, around) and row
+    weights u (Q, rows); F maps (N, n) points to (N, m) values.  Streamed
+    over _row_blocks, one (Q, rows) @ (rows, around m) product a block."""
+    (n, around), Q = h.shape, len(u)
+    A = None
+    for rows, cols in _row_blocks(len(beta), around):
+        Y = base[:, rows, None] + beta[rows, None] * h[:, None, cols]
+        fv = F(Y.reshape(n, -1).T)
+        if A is None:
+            A = np.zeros((Q, around, fv.shape[1]))
+        A[:, cols] += (u[:, rows] @ fv.reshape(Y.shape[1], -1)).reshape(Q, -1, fv.shape[1])
+    return A
 
 
 def _check_degree_around_axis(f, n: int, extra: int) -> None:
@@ -363,7 +366,7 @@ def _inside_point(x, domain: BallDomain, kernel: CauchyKernel) -> np.ndarray:
     if domain.n != kernel.n:
         raise ValueError("domain dimension does not match the kernel")
     x = _point(kernel, "x", x)
-    dist = float(np.linalg.norm(x - domain.center))
+    dist = math.hypot(*(x - domain.center))  # |d|^2 may overflow where |d| does not
     if not dist < domain.radius:
         raise PointOutsideDomain(
             f"point at distance {dist:.6g} from center; radius {domain.radius:.6g}"
@@ -396,15 +399,6 @@ def _normal_flux(nu: np.ndarray, X: np.ndarray, kernel: CauchyKernel) -> np.ndar
     n = kernel.n
     coupling = kernel.c.reshape(n * n, -1) / ball_volume(n)
     return (nu.T[:, None, :] * X.T[None, :, :]).reshape(n * n, -1).T @ coupling
-
-
-def _moments(omega, W, G) -> np.ndarray:
-    """M[j, i, s] = sum_t W_t omega_ti G_tjs, the moments _flux_contraction
-    reads; G is (N, n, dim), its last two axes mergeable without a copy.
-    One (n, N) @ (N, n dim) GEMM."""
-    n = omega.shape[1]
-    M = (omega.T * W) @ G.reshape(len(W), -1)
-    return M.reshape(n, n, -1).swapaxes(0, 1)
 
 
 def _flux_contraction(M: np.ndarray, kernel: CauchyKernel) -> np.ndarray:
@@ -443,7 +437,7 @@ def _boundary_term(f, x, domain, kernel, spec) -> tuple[np.ndarray, int]:
     count returned is the size of the rule, whatever rows _summed_rows
     evaluates f on."""
     a, h, w_eta, cos_theta, sin_theta, w_theta = _polar_rule(x, domain, spec)
-    (n, around), dim = h.shape, kernel.table.dim
+    around, dim = h.shape[1], kernel.table.dim
     d = x - domain.center
     ad = float(a @ d)
     p = cos_theta * ad  # omega . d: h is orthogonal to d
@@ -454,16 +448,7 @@ def _boundary_term(f, x, domain, kernel, spec) -> tuple[np.ndarray, int]:
                                   sin_theta * alpha, sin_theta * beta])
     base = x[:, None] + (reach * cos_theta) * a[:, None]  # (n, rows)
     base, beta, u = _summed_rows(f, domain, a, base, alpha, beta, u)
-    # whole rows, a row wider than CHUNK cut around the axis
-    step, width = max(1, CHUNK // around), min(around, CHUNK)
-    A = np.zeros((4, around, dim))
-    for lo in range(0, len(beta), step):
-        rows = slice(lo, lo + step)
-        for e in range(0, around, width):
-            cols = slice(e, e + width)
-            Y = base[:, rows, None] + beta[rows, None] * h[:, None, cols]
-            fv = _eval_function(f, Y.reshape(n, -1).T, dim)
-            A[:, cols] += (u[:, rows] @ fv.reshape(Y.shape[1], -1)).reshape(4, -1, dim)
+    A = _row_sums(lambda Y: _eval_function(f, Y, dim), base, beta, h, u)
     hw = h * w_eta
     T0, T1, T2 = w_eta @ A[0], hw @ A[1], hw @ A[2]
     # w h h^T: one small product per i, not one (n^2, |eta|) @ (|eta|, dim)
@@ -533,20 +518,24 @@ def boundary_reproduce(
 
 def _volume_term(f, x, domain, kernel, spec) -> tuple[np.ndarray, int]:
     """Integral of sum_j (df/dy_j) * Flux^j(y; x) over the ball along rays
-    from x: y = x + reach t omega with t on [0, 1] leaves the integrand
-    reach omega_i df/dy_j, whose spec.nodes radial points are summed first."""
-    n, k = domain.n, spec.nodes
+    from x, y = x + t reach omega with t on [0, 1], summed row by row of
+    (theta, t) with two row weights (see the module docstring)."""
+    n, k, dim = domain.n, spec.nodes, kernel.table.dim
+    a, h, w_eta, cos_theta, sin_theta, w_theta = _polar_rule(x, domain, spec, k)
+    d = x - domain.center
+    p = cos_theta * float(a @ d)  # omega . d: h is orthogonal to d
+    reach = np.sqrt(p * p + (domain.radius**2 - float(d @ d))) - p
     t, t_w = _gauss_legendre(k)
-    t, t_w = 0.5 * (t + 1.0), 0.5 * t_w  # on [0, 1]
-    M, used = 0.0, 0
-    for omega, w, reach, _ in _ray_blocks(x, domain, spec, k):
-        # radial-major nodes, (n, k, directions), coordinate-major
-        Y = (x[:, None, None] + t[:, None] * (reach * omega.T)[:, None, :]).reshape(n, -1)
-        G = gradient_values(f, Y.T, kernel.table.dim)
-        G = (t_w @ G.reshape(k, -1)).reshape(len(w), n, -1)
-        M = M + _moments(omega, w * reach, G)
-        used += Y.shape[1]
-    return _flux_contraction(M, kernel), used
+    r = np.outer(reach, 0.5 * (t + 1.0)).ravel()  # t reach on the rows (theta_r, t_q)
+    cos_r, sin_r = np.repeat(cos_theta, k), np.repeat(sin_theta, k)
+    u = np.outer(w_theta * reach, 0.5 * t_w).ravel() * np.stack([cos_r, sin_r])
+    A = _row_sums(lambda Y: gradient_values(f, Y, dim).reshape(len(Y), -1),
+                  x[:, None] + (r * cos_r) * a[:, None], r * sin_r, h, u)
+    T0 = w_eta @ A[0]
+    # M[i, (j, s)], one small product per i, as w h h^T in the boundary term
+    M = np.stack([a_i * T0 + (h_i * w_eta) @ A[1] for a_i, h_i in zip(a, h)])
+    return (_flux_contraction(M.reshape(n, n, dim).swapaxes(0, 1), kernel),
+            len(r) * len(w_eta))
 
 
 def verify_representation(
@@ -604,8 +593,18 @@ def derivative_via_kernel(
 
     n, R, table = kernel.n, domain.radius, kernel.table
     gamma = table.gamma
+    a, h, w_eta, cos_theta, sin_theta, w_theta = _polar_rule(x, domain, spec)
+    d = x - domain.center
+    gap = R**2 - float(d @ d)
     S, weighted_norms, sup_f, used = 0.0, 0.0, 0.0, 0
-    for omega, w, reach, s in _ray_blocks(x, domain, spec, 1):
+    for rows, cols in _row_blocks(len(w_theta), len(w_eta)):
+        omega = (a[:, None, None] * cos_theta[rows, None]
+                 + h[:, None, cols] * sin_theta[rows, None]).reshape(n, -1).T
+        w = (w_theta[rows, None] * w_eta[cols]).ravel()
+        # p = omega . d, s and reach per node: the spectral norms are no row sum
+        p = omega @ d
+        s = np.sqrt(p * p + gap)
+        reach = s - p
         Y = x[:, None] + reach * omega.T  # (n, N): coordinate-major
         # d/dx_i (X_k / r^n) = (n omega_i omega_k - delta_ik) / r^n, and
         # dS = reach^(n-1) R / s d omega leaves the weight w R / (s reach)

@@ -338,6 +338,17 @@ def test_reproduce_rule_over_node_budget_fails(runner):
     assert "limit" in result.output
 
 
+@pytest.mark.parametrize("radius", ["1e-170", "1e-160", "1.3e154", "1e155"])
+def test_reproduce_radius_out_of_float_range_fails(runner, radius):
+    # 1e-170 raised a raw ZeroDivisionError; 1e155 reported a point at
+    # 0.3 R "at distance inf"
+    point = f"{0.3 * float(radius)!r},0,0,0"
+    result = runner.invoke(main, ["reproduce", "fueter", "-f", "zeta1", "--point", point,
+                                  "--radius", radius, "--nodes", "16"])
+    assert result.exit_code == 1
+    assert "is outside [1.49e-154, 6.7e+153]" in result.output and "Traceback" not in result.output
+
+
 def test_reproduce_gauss_axis_over_limit_fails(runner, monkeypatch):
     # 10^5 nodes on one axis fit the node budget at n = 2; leggauss must not
     # be reached, since it would build a 10^5 x 10^5 matrix

@@ -1,6 +1,10 @@
 import functools
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,11 +38,9 @@ from hypercauchy.verify import (
     QuadratureTooLarge,
     QuadratureUnderResolved,
     _boundary_term,
-    _direction_blocks,
     _flux_contraction,
-    _moments,
     _normal_flux,
-    _ray_blocks,
+    _polar_rule,
     _sphere_directions_gauss,
     _volume_term,
     boundary_reproduce,
@@ -48,7 +50,7 @@ from hypercauchy.verify import (
 )
 
 FEASIBLE = [case for case in gallery() if case.expected_feasible]
-PARITY_NODES = 9000  # more nodes than two rule blocks, in one call
+PARITY_NODES = 9000
 
 
 def _complex_kernel():
@@ -92,9 +94,20 @@ def _coupling_solution(K, degree, rng):
     return AlgPolynomial(K.table, basis[0].exponents, coeffs)
 
 
-def _joined(blocks):
-    """The arrays of a block iterator, each joined over the blocks."""
-    return [np.concatenate(parts) for parts in zip(*blocks)]
+def _whole_rule(x, D, spec):
+    """The sphere rule aligned with the pole x, joined from _polar_rule's
+    factors into whole arrays: the directions omega = cos(theta_r) a +
+    sin(theta_r) h_e (N, n), row by row of theta, and their weights
+    w_theta[r] w_eta[e]."""
+    a, h, w_eta, cos_theta, sin_theta, w_theta = _polar_rule(x, D, spec)
+    omega = a * cos_theta[:, None, None] + h.T * sin_theta[:, None, None]
+    return omega.reshape(-1, len(a)), (w_theta[:, None] * w_eta).ravel()
+
+
+def _moments(omega, W, G):
+    """M[j, i, s] = sum_t W_t omega_ti G_tjs, the moments _flux_contraction
+    reads, summed node by node."""
+    return np.einsum("t,ti,tjs->jis", W, omega, G)
 
 
 @pytest.mark.parametrize("n,k", [(1, 8), (2, 32), (3, 24), (4, 16)])
@@ -102,8 +115,7 @@ def test_sphere_quadrature_area_and_centroid(n, k):
     # the rule seen from a pole at the center: its sphere elements sum to
     # the area and its sphere points to the center
     D = BallDomain(np.linspace(-0.5, 0.5, n), 1.7)
-    omega, w, reach, s = _joined(_ray_blocks(D.center, D, QuadratureSpec(nodes=k), 1))
-    Y = D.center + reach[:, None] * omega
+    omega, w, reach, s, Y, _ = _whole_rays(D, QuadratureSpec(nodes=k), D.center)
     dS = w * reach ** (n - 1) * D.radius / s
     assert abs(dS.sum() - sphere_area(n, 1.7)) < 1e-12 * dS.sum()
     assert np.linalg.norm(dS @ (Y - D.center)) < 1e-12
@@ -116,7 +128,7 @@ def test_symmetric_rule_above_four_dims(n):
     # k polar nodes times the 2 (n - 1)^2 directions of the degree-5 rule
     k = 24
     x = np.linspace(0.1, -0.2, n)
-    omega, w = _joined(_direction_blocks(x, BallDomain(np.zeros(n), 1.0), QuadratureSpec(k)))
+    omega, w = _whole_rule(x, BallDomain(np.zeros(n), 1.0), QuadratureSpec(k))
     assert omega.shape == (k * 2 * (n - 1) ** 2, n) and w.shape == (len(omega),)
     assert abs(w.sum() - sphere_area(n)) < 1e-12 * sphere_area(n)
     np.testing.assert_allclose(np.linalg.norm(omega, axis=1), 1.0, atol=1e-13)
@@ -275,6 +287,15 @@ def test_point_outside_domain():
             boundary_reproduce(f, np.array(bad), D, K, QuadratureSpec(nodes=16))
 
 
+def test_point_far_outside_reported_at_its_distance():
+    # |x - center|^2 overflows here; the distance itself does not
+    K, D = _complex_kernel(), BallDomain([1e300, 0.0], 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PointOutsideDomain, match="at distance 1e\\+300 from center"):
+            boundary_reproduce(_cubic(), np.array([0.5, 0.0]), D, K, QuadratureSpec(nodes=16))
+
+
 def test_non_solution_rejected_unless_representation():
     K = _complex_kernel()
     table = K.table
@@ -410,6 +431,28 @@ def test_ball_domain_shape_rejected_by_name(center, radius, message):
         BallDomain(center, radius)
 
 
+@pytest.mark.parametrize("radius", [1e-170, 1e-160, 1.3e154, 1e155])
+def test_ball_radius_whose_squares_leave_the_floats_refused(radius):
+    # at 1e-170 R^2 underflows to 0 and the rule divided by zero; at 1e-160
+    # R^2 is subnormal and the derivative was off by 6e-5; at 1.3e154 the
+    # derivative's s reach overflowed and it was off by 0.14; at 1e155 R^2
+    # is inf
+    with pytest.raises(ValueError, match=r"ball radius .* is outside \[1.49e-154, 6.7e\+153\]"):
+        BallDomain(np.zeros(4), radius)
+
+
+@pytest.mark.parametrize("radius", [1e-150, 1e150])
+def test_ball_radius_near_the_limits_still_verified(radius):
+    K, f = _fueter_kernel(), _zeta1()
+    D, spec = BallDomain(np.zeros(4), radius), QuadratureSpec(nodes=16)
+    x = radius * np.array([0.3, -0.2, 0.1, 0.25])
+    assert boundary_reproduce(f, x, D, K, spec).rel_error <= 1e-14
+    assert verify_representation(f, x, D, K, spec).rel_error <= 1e-14
+    rep = derivative_via_kernel(f, x, 1, D, K, spec)
+    np.testing.assert_allclose(rep.value.coeffs, [1.0, 0.0, 0.0, 0.0], atol=1e-14)
+    assert rep.bound_constant == pytest.approx(2.06049529622611, rel=1e-12)
+
+
 def test_ball_domain_keeps_its_own_center():
     center = np.zeros(2)
     D = BallDomain(center, 1)
@@ -482,11 +525,11 @@ def test_non_finite_input_rejected_with_named_field(field, build):
 def test_node_budget_checked_before_allocation():
     D = BallDomain(np.zeros(4), 1.0)
     with pytest.raises(QuadratureTooLarge):
-        _direction_blocks(D.center, D, QuadratureSpec(nodes=10**4))
+        _polar_rule(D.center, D, QuadratureSpec(nodes=10**4))
     # the boundary rule (46^3 nodes) fits; the volume rule (46^3 directions
     # x 46 radial points) does not
     spec = QuadratureSpec(nodes=46)
-    assert _joined(_direction_blocks(D.center, D, spec))[0].shape == (46**3, 4)
+    assert _whole_rule(D.center, D, spec)[0].shape == (46**3, 4)
     with pytest.raises(QuadratureTooLarge):
         verify_representation(_zeta1(), np.zeros(4), D, _fueter_kernel(), spec)
 
@@ -501,11 +544,11 @@ def test_gauss_nodes_per_axis_bounded_before_leggauss(monkeypatch):
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
     for n in (1, 2):  # at n = 1 only the volume rule calls leggauss
         with pytest.raises(QuadratureTooLarge, match="limit is 2048"):
-            _direction_blocks(np.zeros(n), BallDomain(np.zeros(n), 1.0),
-                              QuadratureSpec(nodes=MAX_AXIS_NODES + 1))
+            _polar_rule(np.zeros(n), BallDomain(np.zeros(n), 1.0),
+                        QuadratureSpec(nodes=MAX_AXIS_NODES + 1))
     D = BallDomain(np.zeros(2), 1.0)
     with pytest.raises(AssertionError, match="leggauss"):
-        _direction_blocks(D.center, D, QuadratureSpec(nodes=MAX_AXIS_NODES))
+        _polar_rule(D.center, D, QuadratureSpec(nodes=MAX_AXIS_NODES))
     with pytest.raises(QuadratureTooLarge):
         boundary_reproduce(_z(), [0.1, 0.0], D, _complex_kernel(),
                            QuadratureSpec(nodes=10**5))
@@ -555,9 +598,8 @@ def test_sphere_directions_match_per_node_construction(n, k):
 
 def _whole_rays(D, spec, x):
     """The whole direction rule aligned with x: omega, w, reach, s = R (nu .
-    omega), the sphere points y and their normals nu, built from the joined
-    direction blocks."""
-    omega, w = _joined(_direction_blocks(x, D, spec))
+    omega), the sphere points y and their normals nu, node by node."""
+    omega, w = _whole_rule(x, D, spec)
     d = x - D.center
     proj = omega @ d
     s = np.sqrt(proj * proj + (D.radius**2 - d @ d))
@@ -631,7 +673,6 @@ def test_boundary_sum_matches_direct_b_form_sum(case):
             flux += table.mul_coeffs(nu[t] @ C.a[m], X[t] @ b[m])
         dS = w[t] * r[t] ** (C.n - 1) / cos[t]
         ref += dS / r[t] ** C.n * table.mul_coeffs(fv[t], flux)
-    assert PARITY_NODES > 2 * CHUNK
     G = (nu / cos[:, None])[:, :, None] * fv[:, None, :]
     _close(_flux_contraction(_moments(omega, w, G), K), ref)
 
@@ -752,6 +793,27 @@ def _assert_streamed(got, *parts):
     assert err <= 1e-13 * sum(np.linalg.norm(part, axis=1).sum() for part in parts)
 
 
+def _shell_sum_parts(K, f, x, D, spec):
+    """The textbook volume sum over the whole shell rule seen from x, node
+    by node: dV sum_j (df/dy_j) * Flux^j as an (N, dim) array, with the flux
+    from kernel_field_batch (r^-n included) and the ball element
+    w reach r^(n-1) dt on spec.nodes Gauss points t of [0, 1]; formed 4096
+    nodes at a time, which bounds the memory at n = 16."""
+    n, table = K.n, K.table
+    omega, w, reach, *_ = _whole_rays(D, spec, x)
+    t, t_w = np.polynomial.legendre.leggauss(spec.nodes)
+    r = reach[:, None] * (0.5 * (t + 1.0))
+    Y = (x + r[:, :, None] * omega[:, None, :]).reshape(-1, n)
+    dV = (w[:, None] * reach[:, None] * (0.5 * t_w) * r ** (n - 1)).ravel()
+    parts = []
+    for lo in range(0, len(Y), 4096):
+        Ys = Y[lo : lo + 4096]
+        G, flux = gradient_values(f, Ys, table.dim), kernel_field_batch(K, x, Ys)
+        integrand = np.einsum("tjs,tjd,sdk->tk", G, flux, table.gamma, optimize=True)
+        parts.append(dV[lo : lo + 4096, None] * integrand)
+    return np.concatenate(parts)
+
+
 def _check_streamed_terms(n, k, seed):
     # oracle: the textbook per-node sums over the whole rule seen from x,
     # with the flux from kernel_field_batch (r^-n included) and the ray
@@ -781,17 +843,10 @@ def _check_streamed_terms(n, k, seed):
 
     # volume: the shell rule built whole, on at most about 2^16 nodes
     spec_v = QuadratureSpec(nodes=min(k, round(2 ** (16 / n))))
-    omega_v, w_v, reach_v, *_ = _whole_rays(D, spec_v, x)
-    t, t_w = np.polynomial.legendre.leggauss(spec_v.nodes)
-    r = reach_v[:, None] * (0.5 * (t + 1.0))
-    Yv = (x + r[:, :, None] * omega_v[:, None, :]).reshape(-1, n)
-    dV = (w_v[:, None] * reach_v[:, None] * (0.5 * t_w) * r ** (n - 1)).ravel()
-    G = gradient_values(f, Yv, dim)
-    flux = kernel_field_batch(K, x, Yv)
-    integrand = sum(product(G[:, j], flux[:, j]) for j in range(n))
+    parts = _shell_sum_parts(K, f, x, D, spec_v)
     got, used = _volume_term(f, x, D, K, spec_v)
-    assert used == len(dV)
-    _assert_streamed(got, dV[:, None] * integrand)
+    assert used == len(parts)
+    _assert_streamed(got, parts)
 
     # derivative: value, bound constant and sup|f| of a coupling solution;
     # d/dx_i Flux^j = -c[j, i] / (Vol r^n) + n X_i Flux^j / r^2, where
@@ -838,7 +893,8 @@ def test_boundary_sum_matches_whole_rule_sum(name, k, chunk, monkeypatch):
     # the row-by-row boundary sum against the textbook per-node sum over the
     # whole rule seen from x, flux from kernel_field_batch (r^-n included)
     # and dS = w reach^(n-1) R / s, for a random polynomial of degree <= 3
-    # and a constant; n = 8 and 16 lie beyond _check_streamed_terms
+    # and a constant, then the volume term of the polynomial against the
+    # textbook shell sum; n = 8 and 16 lie beyond _check_streamed_terms
     monkeypatch.setattr(verify, "CHUNK", chunk)
     K = _gallery_kernel(name)
     n, table, dim = K.n, K.table, K.table.dim
@@ -860,6 +916,10 @@ def test_boundary_sum_matches_whole_rule_sum(name, k, chunk, monkeypatch):
         fv = f.eval_batch(Y)
         _assert_streamed(got, dS[:, None] * np.einsum("ts,td,sdk->tk", fv, normal_flux,
                                                       table.gamma))
+    parts = _shell_sum_parts(K, cubic, x, D, spec)
+    got, used = _volume_term(cubic, x, D, K, spec)
+    assert used == len(parts)
+    _assert_streamed(got, parts)
 
 
 def test_boundary_reproduce_memory_stays_within_a_few_blocks():
@@ -975,11 +1035,11 @@ def test_pole_aligned_rule_moments(n, seed, at_center, k):
     area = sphere_area(n)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        omega, w = _joined(_direction_blocks(x, D, QuadratureSpec(48)))
+        omega, w = _whole_rule(x, D, QuadratureSpec(48))
         # the mapped rule is not moment-exact at small k: near the sphere
         # sum(w) is off by up to 3e-2 at k = 8, but the symmetry of theta
         # about pi/2 and of the rule around the axis keeps the first moment 0
-        omega_k, w_k = _joined(_direction_blocks(x, D, QuadratureSpec(k)))
+        omega_k, w_k = _whole_rule(x, D, QuadratureSpec(k))
     assert abs(w.sum() - area) <= 1e-12 * area
     assert np.linalg.norm(w @ omega) <= 1e-12 * area
     assert np.abs((omega.T * w) @ omega - area / n * np.eye(n)).max() <= 1e-12 * area
@@ -998,7 +1058,7 @@ def test_polar_projection_is_constant_along_each_row(n, seed, at_center, k):
     u = rng.normal(size=n)
     distance = 0.0 if at_center else rng.uniform(0.0, 0.999999) * D.radius
     x = D.center + distance * u / np.linalg.norm(u)
-    omega, _ = _joined(_direction_blocks(x, D, QuadratureSpec(k)))
+    omega, _ = _whole_rule(x, D, QuadratureSpec(k))
     p = (omega @ (x - D.center)).reshape(k, -1)  # one row of theta per line
     assert np.abs(p - p[:, :1]).max() <= 1e-14 * np.linalg.norm(x - D.center)
 
@@ -1062,3 +1122,53 @@ def test_degree_beyond_the_symmetric_rule_refused_above_four_dims():
         derivative_via_kernel(lambda y: np.zeros(4), x, 0, D, K, spec)
     # a cubic non-solution is still represented exactly
     assert verify_representation(cubic, x, D, K, spec).abs_error <= 1e-12
+
+
+# -- the library sums across BLAS thread counts ----------------------------------
+
+
+_LIBRARY_SUMS = """
+import sys
+import numpy as np
+from hypercauchy.families import gallery
+from hypercauchy.kernel import CauchyKernel
+from hypercauchy.solutions import AlgPolynomial, monomial_exponents, polynomial_solution_basis
+from hypercauchy.verify import (BallDomain, QuadratureSpec, derivative_via_kernel,
+                                verify_representation)
+
+name, nodes = sys.argv[1], int(sys.argv[2])
+K = CauchyKernel.from_conditions(next(c for c in gallery() if c.name == name).build())
+n, dim = K.n, K.table.dim
+rng = np.random.default_rng(n)
+layout = monomial_exponents(n, 2)
+f = AlgPolynomial(K.table, layout, rng.normal(size=(len(layout), dim)))
+basis = polynomial_solution_basis(K.coupling_conditions, 1)
+g = AlgPolynomial(K.table, basis[0].exponents,
+                  sum(c * b.coeffs for c, b in zip(rng.normal(size=len(basis)), basis)))
+D, spec = BallDomain(rng.uniform(-1.0, 1.0, n), 1.5), QuadratureSpec(nodes)
+x = D.center + 0.6 * rng.uniform(-1.0, 1.0, n) / np.sqrt(n)
+rep = verify_representation(f, x, D, K, spec)
+der = derivative_via_kernel(g, x, n - 1, D, K, spec)
+for v in (rep.computed.coeffs, der.value.coeffs, [der.bound_constant, der.sup_boundary]):
+    print(np.asarray(v, dtype=float).tobytes().hex())
+"""
+
+
+@pytest.mark.parametrize("name,nodes", [
+    # rows of 98 and 450 directions around the axis
+    ("octonion_single", 8), ("fueter_induced2", 8), ("sedenion_single", 16),
+])
+def test_library_sums_identical_across_blas_thread_counts(name, nodes):
+    # the volume and derivative sums, which the CLI never reaches, give the
+    # same bytes with one BLAS thread and with two
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "OMP_NUM_THREADS": threads,
+               "OPENBLAS_NUM_THREADS": threads}
+        run = subprocess.run([sys.executable, "-c", _LIBRARY_SUMS, name, str(nodes)],
+                             capture_output=True, env=env, timeout=120)
+        assert run.returncode == 0, run.stderr.decode()
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1] and len(outputs[0].split()) == 3
