@@ -5,6 +5,9 @@ for every m.  This module represents algebra-valued polynomials, applies the
 condition operator (exactly on polynomials, by central differences on
 callables), and computes an orthonormal basis of polynomial solutions up to a
 requested degree as the nullspace of the exact coefficient map.
+Polynomials of any width go through one evaluator, _evaluate, and one
+derivative map on monomials, _lowering, which gradient_values (all partials as
+one polynomial of width n * dim) and polynomial_solution_basis both read.
 """
 from __future__ import annotations
 
@@ -15,7 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .admissibility import CRConditionSet
+from . import admissibility
+from .admissibility import CRConditionSet, SystemTooLarge
 from .algebra import AlgebraTable, AlgElem
 
 NULLSPACE_REL_SV = 1e-10
@@ -49,7 +53,12 @@ class AlgPolynomial:
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        exps = np.atleast_2d(np.asarray(self.exponents, dtype=int))
+        exps = np.atleast_2d(np.asarray(self.exponents))
+        if exps.dtype.kind not in "iu":  # floats, as read from JSON
+            exps = exps.astype(float)
+            bad = exps[~np.isfinite(exps) | (exps != np.round(exps))]
+            if bad.size:
+                raise ValueError(f"exponents must be finite integers; {bad[0]:g} is not")
         cfs = np.atleast_2d(np.asarray(self.coeffs, dtype=float))
         if exps.shape[0] != cfs.shape[0]:
             raise ValueError("one coefficient row per monomial required")
@@ -59,21 +68,15 @@ class AlgPolynomial:
             raise ValueError("a polynomial needs at least one variable")
         if np.any(exps < 0):
             raise ValueError("exponents must be non-negative")
+        # the power table of _evaluate holds (deg + 1) n numbers per point
+        deg = int(exps.max(initial=0))
+        if (deg + 1) * exps.shape[1] * EVAL_BLOCK > admissibility.MAX_SYSTEM_ENTRIES:
+            raise ValueError(f"exponent {deg} is too large: its power table needs "
+                             f"more than {admissibility.MAX_SYSTEM_ENTRIES} entries")
         if not np.all(np.isfinite(cfs)):
             raise ValueError("polynomial coeffs must be finite")
         # merge duplicate monomials so the representation is canonical
-        order: dict[tuple[int, ...], int] = {}
-        merged: list[np.ndarray] = []
-        kept: list[tuple[int, ...]] = []
-        for row, cf in zip(map(tuple, exps), cfs):
-            if row in order:
-                merged[order[row]] = merged[order[row]] + cf
-            else:
-                order[row] = len(merged)
-                merged.append(cf.copy())
-                kept.append(row)
-        exps = np.array(kept, dtype=int).reshape(len(kept), exps.shape[1])
-        cfs = np.array(merged, dtype=float)
+        exps, cfs = _merged(exps.astype(int, copy=False), cfs)
         exps.setflags(write=False)
         cfs.setflags(write=False)
         object.__setattr__(self, "exponents", exps)
@@ -108,13 +111,8 @@ class AlgPolynomial:
         return AlgElem(self.table, self.eval_batch(np.atleast_2d(x))[0])
 
     def eval_batch(self, X) -> np.ndarray:
-        """Values at many points: X (N, n) -> (N, dim), read off the power
-        tables of _power_tables."""
-        X = self._points(X)
-        out = np.empty((X.shape[0], self.table.dim))
-        for block, P in _power_tables(X, self.exponents):
-            out[block] = _monomials(P, self.exponents).T @ self.coeffs
-        return out
+        """Values at many points: X (N, n) -> (N, dim)."""
+        return _evaluate(self._points(X), self.exponents, self.coeffs)
 
     def _points(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -124,12 +122,13 @@ class AlgPolynomial:
         return X
 
     @cached_property
-    def _lowered(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per variable j, the terms of df/dx_j, built once: see gradient_values."""
-        exps = self.exponents
-        return [(exps[rows] - np.eye(self.n, dtype=int)[j],
-                 self.coeffs[rows] * exps[rows, j : j + 1])
-                for j, rows in enumerate(exps.T > 0)]
+    def _gradient(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every partial derivative as one polynomial of width n * dim:
+        (exponents, coeffs) with df/dx_j in column block j, built once."""
+        k, j, lowered, alpha = _lowering(self.exponents)
+        cfs = np.zeros((len(k), self.n, self.table.dim))
+        cfs[np.arange(len(k)), j] = alpha[:, None] * self.coeffs[k]
+        return _merged(lowered, cfs.reshape(len(k), self.n * self.table.dim))
 
     def __add__(self, other: AlgPolynomial) -> AlgPolynomial:
         self._check_compatible(other)
@@ -172,33 +171,52 @@ class AlgPolynomial:
         return out.ravel()
 
 
-def _power_tables(X: np.ndarray, exps: np.ndarray):
-    """(block, P) for each EVAL_BLOCK rows of the (N, n) points X.
+def _merged(exps: np.ndarray, cfs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of equal exponents summed, in order of first appearance; on
+    a few rows a dict is several times quicker than np.unique and np.add.at."""
+    order: dict[tuple[int, ...], int] = {}
+    merged: list[np.ndarray] = []
+    for row, cf in zip(map(tuple, exps), cfs):
+        if row in order:
+            merged[order[row]] = merged[order[row]] + cf
+        else:
+            order[row] = len(merged)
+            merged.append(cf)
+    return (np.array(list(order), dtype=int).reshape(len(order), exps.shape[1]),
+            np.array(merged, dtype=float).reshape(len(merged), cfs.shape[1]))
 
-    P has shape (deg+1, n, B) with P[0] = 1 and P[k] = P[k-1] * X.T, so
-    P[k, j] holds x_j^k at every point of the block: deg multiplications per
-    variable build every power the exponents exps ask for, instead of a float
-    pow per point, monomial and variable.  Blocks keep the table and the
-    monomial values small; every row of a result depends on its own point
-    only.
+
+def _lowering(exps: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The derivative on monomials, d/dx_j x^alpha = alpha_j x^(alpha - e_j):
+    (k, j, exps[k] - e_j, exps[k, j]) for every nonzero exps[k, j], k-major."""
+    k, j = np.nonzero(exps)
+    lowered = exps[k]
+    lowered[np.arange(len(k)), j] -= 1
+    return k, j, lowered, exps[k, j]
+
+
+def _evaluate(X: np.ndarray, exps: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] x^exps[k] at the rows of X: (N, n) -> (N, width).
+
+    Per EVAL_BLOCK rows, the power table P[k] = P[k-1] * X.T, P[0] = 1,
+    holds every x_j^k the exponents ask for (deg multiplications per
+    variable, no float pow); the monomials (M, B) are the products over j of
+    its rows P[exps[:, j], j], summed by one product with coeffs.  Blocks keep
+    P and the monomials small; each row of the result reads its own point.
     """
     deg = int(exps.max(initial=0))
+    out = np.empty((X.shape[0], coeffs.shape[1]))
     for lo in range(0, X.shape[0], EVAL_BLOCK):
         Xt = X[lo : lo + EVAL_BLOCK].T
         P = np.empty((deg + 1,) + Xt.shape)
         P[0] = 1.0
         for k in range(1, deg + 1):
             P[k] = P[k - 1] * Xt
-        yield slice(lo, lo + EVAL_BLOCK), P
-
-
-def _monomials(P: np.ndarray, exps: np.ndarray) -> np.ndarray:
-    """Monomial values (M, B): the products over j of the power-table rows
-    P[exps[:, j], j]."""
-    mono = P[:, 0][exps[:, 0]]
-    for j in range(1, exps.shape[1]):
-        mono *= P[:, j][exps[:, j]]
-    return mono
+        mono = P[:, 0][exps[:, 0]]
+        for j in range(1, exps.shape[1]):
+            mono *= P[:, j][exps[:, j]]
+        out[lo : lo + EVAL_BLOCK] = mono.T @ coeffs
+    return out
 
 
 def _eval_function(f, Y: np.ndarray, dim: int) -> np.ndarray:
@@ -220,18 +238,14 @@ def _eval_function(f, Y: np.ndarray, dim: int) -> np.ndarray:
 def gradient_values(f, Y, dim: int) -> np.ndarray:
     """The partial derivatives df/dy_j at each row of Y: (N, n, dim).
 
-    Exact for AlgPolynomial: df/dy_j sums alpha_j c x^(alpha - e_j) over the
-    monomials with alpha_j > 0, read off the same power tables as eval_batch.
+    Exact for AlgPolynomial: its cached _gradient, every df/dy_j as one
+    polynomial of width n * dim, goes through the evaluator of eval_batch.
     Central differences of step DEFAULT_FD_STEP (order h^2) of _eval_function
     otherwise.  Every derivative is written into one (N, n, dim) array.
     """
     if isinstance(f, AlgPolynomial):
         Y = f._points(Y)
-        out = np.empty((Y.shape[0], f.n, dim))
-        for block, P in _power_tables(Y, f.exponents):
-            for j, (lowered, coeffs) in enumerate(f._lowered):
-                out[block, j] = _monomials(P, lowered).T @ coeffs
-        return out
+        return _evaluate(Y, *f._gradient).reshape(len(Y), f.n, dim)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     n = Y.shape[1]
     out = np.empty((Y.shape[0], n, dim))
@@ -370,38 +384,23 @@ def polynomial_solution_basis(
     dim = table.dim
     layout = monomial_exponents(n, degree)
     M = len(layout)
-    col_of = {e: k for k, e in enumerate(layout)}
-    if degree == 0:
-        targets: list[tuple[int, ...]] = []
-    else:
-        targets = monomial_exponents(n, degree - 1)
-    row_of = {e: k for k, e in enumerate(targets)}
-
-    rows = q * len(targets) * dim
-    A = np.zeros((rows, M * dim))
-    rmuls = [
-        [table.right_mult_matrix(conditions.a[m, j]) for j in range(n)]
-        for m in range(q)
-    ]
-    for k, alpha in enumerate(layout):
-        for j in range(n):
-            if alpha[j] == 0:
-                continue
-            beta = list(alpha)
-            beta[j] -= 1
-            beta_row = row_of[tuple(beta)]
-            for m in range(q):
-                r0 = (m * len(targets) + beta_row) * dim
-                A[r0 : r0 + dim, k * dim : (k + 1) * dim] += alpha[j] * rmuls[m][j]
-
-    if rows == 0:
-        null = np.eye(M * dim)
-    else:
-        _, s, vh = np.linalg.svd(A, full_matrices=True)
-        rank = int(np.sum(s > NULLSPACE_REL_SV * s[0])) if s.size else 0
-        null = vh[rank:]
-    basis = []
+    # the full V^T of the SVD is the largest array: (M dim)^2
+    if (M * dim) ** 2 > admissibility.MAX_SYSTEM_ENTRIES:
+        raise SystemTooLarge(f"the solution basis of degree {degree} needs "
+                             f"{M * dim} x {M * dim} = {(M * dim) ** 2} entries; "
+                             f"the limit is {admissibility.MAX_SYSTEM_ENTRIES}")
+    row_of = {e: t for t, e in enumerate(monomial_exponents(n, degree - 1))}
     exps = np.array(layout, dtype=int)
-    for vec in null:
-        basis.append(AlgPolynomial(table, exps, vec.reshape(M, dim)))
+    k, j, lowered, alpha = _lowering(exps)
+    t = np.array([row_of[e] for e in map(tuple, lowered)], dtype=int)
+    R = np.array([[table.right_mult_matrix(b) for b in a_j]
+                  for a_j in conditions.a.swapaxes(0, 1)])  # (n, q, dim, dim)
+    # rows (m, target, dim), columns (monomial, dim); the targets of one
+    # monomial differ in j, so every (t, k) block is written once
+    A = np.zeros((q, len(row_of), dim, M, dim))
+    A[:, t, :, k, :] = alpha[:, None, None, None] * R[j]
+    # no targets at degree 0: an empty A, whose V^T is the identity
+    _, s, vh = np.linalg.svd(A.reshape(-1, M * dim), full_matrices=True)
+    null = vh[int(np.sum(s > NULLSPACE_REL_SV * s[0])) if s.size else 0 :]
+    basis = [AlgPolynomial(table, exps, vec.reshape(M, dim)) for vec in null]
     return PolySolutionBasis(conditions, degree, basis)

@@ -598,8 +598,10 @@ def derivative_via_kernel(
     gap = R**2 - float(d @ d)
     S, weighted_norms, sup_f, used = 0.0, 0.0, 0.0, 0
     for rows, cols in _row_blocks(len(w_theta), len(w_eta)):
-        omega = (a[:, None, None] * cos_theta[rows, None]
-                 + h[:, None, cols] * sin_theta[rows, None]).reshape(n, -1).T
+        # node-major (N, n), so p = omega . d is the same product, to the
+        # last bit, as in a node-by-node sum over the whole rule
+        omega = (cos_theta[rows, None, None] * a
+                 + sin_theta[rows, None, None] * h.T[cols]).reshape(-1, n)
         w = (w_theta[rows, None] * w_eta[cols]).ravel()
         # p = omega . d, s and reach per node: the spectral norms are no row sum
         p = omega @ d

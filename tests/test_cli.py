@@ -196,6 +196,24 @@ def test_reproduce_polynomial_file_of_wrong_width_named(runner, tmp_path, width)
     assert "broadcast" not in result.output
 
 
+@pytest.mark.parametrize("exponent,message", [
+    (0.5, "exponents must be finite integers; 0.5 is not"),
+    (1e20, "exponent 100000000000000000000 is too large"),
+    (2**40, "exponent 1099511627776 is too large"),
+])
+def test_reproduce_polynomial_file_of_bad_exponent_named(runner, tmp_path, exponent,
+                                                         message):
+    # 0.5 was read as x^0; 1e20 raised OverflowError and 2^40 a MemoryError
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps({"exponents": [[exponent, 0, 0, 0]],
+                                "coeffs": [[1.0, 0.0, 0.0, 0.0]]}))
+    result = runner.invoke(
+        main, ["reproduce", "fueter", "-f", str(poly), "--point", "0.25,0,0,0"]
+    )
+    assert result.exit_code == 1
+    assert message in result.output
+
+
 def test_reproduce_point_outside_fails(runner):
     result = runner.invoke(
         main, ["reproduce", "dbar", "-f", "z2", "--point", "1.5,0.0"]

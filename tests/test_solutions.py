@@ -1,10 +1,12 @@
 import itertools
+import re
 import time
 
 import numpy as np
 import pytest
 
-from hypercauchy.admissibility import CRConditionSet
+from hypercauchy import admissibility
+from hypercauchy.admissibility import CRConditionSet, SystemTooLarge
 from hypercauchy.algebra import AlgElem, builtin
 from hypercauchy.families import dbar_conditions, fueter_conditions, gallery
 from hypercauchy.solutions import (
@@ -185,6 +187,16 @@ def test_degree_cap_enforced():
         polynomial_solution_basis(dbar_conditions(), 7)
 
 
+def test_basis_size_checked_before_assembly(monkeypatch):
+    # Fueter at degree 3: 35 monomials of 4 coefficients, a 140 x 140 V^T;
+    # the cap also bounds the cubics' power tables, 4 x 4 x EVAL_BLOCK
+    monkeypatch.setattr(admissibility, "MAX_SYSTEM_ENTRIES", 140 * 140)
+    assert len(polynomial_solution_basis(fueter_conditions(), 3)) > 0
+    monkeypatch.setattr(admissibility, "MAX_SYSTEM_ENTRIES", 140 * 140 - 1)
+    with pytest.raises(SystemTooLarge, match="140 x 140 = 19600 entries; the limit is 19599"):
+        polynomial_solution_basis(fueter_conditions(), 3)
+
+
 def test_eval_batch_names_width_mismatch():
     p = AlgPolynomial(builtin("quaternion"), [[1, 0, 0]], [[1.0, 0.0, 0.0, 0.0]])
     with pytest.raises(ValueError, match=r"shape \(2, 4\) but the polynomial has 3"):
@@ -196,6 +208,26 @@ def test_eval_batch_names_width_mismatch():
     # a callable has no width of its own: the conditions name the mismatch
     with pytest.raises(ValueError, match=r"shape \(1, 3\) but the conditions have 4"):
         condition_values(fueter_conditions(), lambda y: np.zeros(4), np.zeros((1, 3)))
+
+
+@pytest.mark.parametrize("exponent,message", [
+    (0.5, "finite integers; 0.5 is not"),
+    (np.nan, "finite integers; nan is not"),
+    (np.inf, "finite integers; inf is not"),
+    (-1, "non-negative"),
+    (1e20, "exponent 100000000000000000000 is too large"),
+    (2**40, "exponent 1099511627776 is too large"),
+    # the power table holds (deg + 1) n EVAL_BLOCK numbers: at n = 4, 4095
+    # is the largest exponent within 2^24
+    (admissibility.MAX_SYSTEM_ENTRIES // (4 * EVAL_BLOCK), "4096 is too large"),
+])
+def test_bad_exponents_named(exponent, message):
+    # refused on construction, before any power table is allocated
+    with pytest.raises(ValueError, match=re.escape(message)):
+        AlgPolynomial(builtin("quaternion"), [[exponent, 0, 0, 0]], [[1.0, 0, 0, 0]])
+    largest = admissibility.MAX_SYSTEM_ENTRIES // (4 * EVAL_BLOCK) - 1
+    assert AlgPolynomial(builtin("quaternion"), [[largest, 0, 0, 0]],
+                         [[1.0, 0, 0, 0]]).degree == largest
 
 
 def test_polynomial_needs_a_variable():
@@ -239,10 +271,10 @@ def _random_polynomial(table, n, degree, rng):
     return AlgPolynomial(table, layout, rng.normal(size=(len(layout), table.dim)))
 
 
-@pytest.mark.parametrize("n", [1, 2, 4, 8])
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
 def test_gradient_values_match_partial_derivative_loop(n):
     rng = np.random.default_rng(n)
-    table = builtin("quaternion")
+    table = builtin("sedenion" if n == 16 else "quaternion")
     p = _random_polynomial(table, n, 3, rng)
     Y = rng.uniform(-1.5, 1.5, size=(EVAL_BLOCK + 37, n))
     got = gradient_values(p, Y, table.dim)
@@ -250,11 +282,28 @@ def test_gradient_values_match_partial_derivative_loop(n):
     assert got.shape == (len(Y), n, table.dim)
     np.testing.assert_array_equal(got, ref)
     # a variable that appears in no monomial has derivative exactly zero
-    flat = AlgPolynomial(table, np.eye(n, dtype=int)[:1], [[1.0, 2.0, 0.0, 0.0]])
+    flat = AlgPolynomial(table, np.eye(n, dtype=int)[:1], [[1.0, 2.0] + [0.0] * (table.dim - 2)])
     assert not gradient_values(flat, Y, table.dim)[:, 1:].any()
     # callables take central differences of the same values
     fd = gradient_values(lambda y: p.evaluate(y).coeffs, Y[:5], table.dim)
     np.testing.assert_allclose(fd, ref[:5], rtol=1e-7, atol=1e-7)
+
+
+def test_gradient_values_of_monomials_in_any_order():
+    # the lowered monomials of all partials are merged in order of first
+    # appearance, so their sums may run in another order than monomial by
+    # monomial: equal up to rounding, relative to the sum of absolute terms
+    n, rng = 8, np.random.default_rng(8)
+    table = builtin("quaternion")
+    layout = np.array(monomial_exponents(n, 4))
+    layout = layout[rng.permutation(len(layout))]
+    p = AlgPolynomial(table, layout, rng.normal(size=(len(layout), table.dim)))
+    Y = rng.uniform(-1.5, 1.5, size=(EVAL_BLOCK + 37, n))
+    got = gradient_values(p, Y, table.dim)
+    for j in range(n):
+        d = _partial_derivative(p, j)
+        scale = np.prod(np.abs(Y)[:, None, :] ** d.exponents, axis=2) @ np.abs(d.coeffs)
+        assert np.all(np.abs(got[:, j] - d.eval_batch(Y)) <= 1e-14 * scale)
 
 
 def test_max_violation_needs_a_sample():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypercauchy import verify
@@ -872,6 +872,13 @@ def _check_streamed_terms(n, k, seed):
 
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(1, 4), k=st.integers(8, 48), seed=st.integers(0, 2**32 - 1))
+# sup_boundary differed in the last bit here while the derivative term took
+# omega . d on a transposed view and the oracle on a node-major array
+@example(n=3, k=34, seed=168)
+@example(n=3, k=32, seed=464832488)
+@example(n=4, k=22, seed=3879967560)
+@example(n=4, k=45, seed=4291447014)
+@example(n=4, k=29, seed=3860900651)
 def test_streamed_terms_match_whole_rule_sums(n, k, seed):
     # 8..48 nodes per axis: rows of k^(n-2) nodes that mostly do not divide
     # CHUNK, so the last block is short
