@@ -27,6 +27,7 @@ from .algebra import (
     AlgebraTable,
     AlgElem,
     Singular,
+    _as_integer,
     algebra_to_dict,
     ball_volume,
     load_algebra,
@@ -120,6 +121,11 @@ class CRConditionSet:
 KERNEL_RESIDUAL_CEILING = 1e-6
 
 
+def _algebra_matmul(table: AlgebraTable, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Product of matrices with algebra entries: (X Y)[i, j] = sum_m X[i, m] * Y[m, j]."""
+    return np.einsum("ims,mjd,sde->ije", X, Y, table.gamma)
+
+
 @dataclass(frozen=True)
 class CauchyKernel:
     """A condition set with kernel weights b[m, i] and the coupling they fix.
@@ -142,7 +148,7 @@ class CauchyKernel:
             raise ValueError(f"kernel weights b have {b.size} entries but the "
                              f"conditions need shape {shape}")
         b = b.reshape(shape)
-        c = ball_volume(C.n) * np.einsum("mjs,mid,sde->jie", C.a, b, C.table.gamma)
+        c = ball_volume(C.n) * _algebra_matmul(C.table, C.a.swapaxes(0, 1), b)
         b.setflags(write=False)
         c.setflags(write=False)
         object.__setattr__(self, "b", b)
@@ -311,9 +317,9 @@ def a_differentiable_conditions(table: AlgebraTable) -> CRConditionSet:
     if dim < 2:
         raise ValueError("need dim >= 2 for differentiability conditions")
     a = np.zeros((dim - 1, dim, dim))
-    for m in range(1, dim):
-        a[m - 1, 0, m] = -1.0
-        a[m - 1, m, 0] = 1.0
+    m = np.arange(1, dim)
+    a[m - 1, 0, m] = -1.0
+    a[m - 1, m, 0] = 1.0
     return CRConditionSet(table, n=dim, q=dim - 1, a=a,
                           name="a_differentiable")
 
@@ -333,10 +339,8 @@ def anticommuting_single_condition(table: AlgebraTable) -> CRConditionSet:
         for j in range(i + 1, dim):
             if np.max(np.abs(g[i, j] + g[j, i])) > 1e-12:
                 raise BasisNotAnticommuting(f"e_{i} e_{j} != -e_{j} e_{i}")
-    a = np.zeros((1, dim, dim))
-    for j in range(dim):
-        a[0, j, j] = 1.0
-    return CRConditionSet(table, n=dim, q=1, a=a, name="anticommuting_single")
+    return CRConditionSet(table, n=dim, q=1, a=np.eye(dim)[None],
+                          name="anticommuting_single")
 
 
 def induced_conditions(conditions: CRConditionSet, copies: int) -> CRConditionSet:
@@ -346,6 +350,7 @@ def induced_conditions(conditions: CRConditionSet, copies: int) -> CRConditionSe
     [l*n, l*n + n); the kernel normalization rescales to the total
     dimension n*copies automatically.
     """
+    copies = _as_integer(copies, "copies")
     if copies < 1:
         raise ValueError("copies must be >= 1")
     n, q, dim = conditions.n, conditions.q, conditions.table.dim
@@ -381,6 +386,7 @@ def check_ellipticity(
     minimum of sum_m |P_m(X)|^2 over sampled unit vectors X, which must stay
     positive for elliptic conditions.
     """
+    samples = _as_integer(samples, "samples")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     conditions = kernel.conditions
@@ -407,19 +413,13 @@ def algebra_determinant(table: AlgebraTable, M: np.ndarray) -> np.ndarray:
     """Determinant of a square matrix with algebra entries, by Laplace expansion.
 
     Well-defined for commutative associative algebras.  M has shape
-    (k, k, dim); the result is a coefficient vector.
+    (k, k, dim); the result is a coefficient vector, e_0 when k = 0.
     """
-    k = M.shape[0]
-    if k == 1:
-        return M[0, 0].copy()
+    if M.shape[0] == 0:
+        return np.eye(table.dim)[0]
     total = np.zeros(table.dim)
-    for j in range(k):
-        entry = M[0, j]
-        if not np.any(entry):
-            continue
-        minor = np.delete(M[1:], j, axis=1)
-        sub = algebra_determinant(table, minor)
-        term = table.mul_coeffs(entry, sub)
+    for j in np.flatnonzero(np.any(M[0], axis=1)):  # zero entries add nothing
+        term = table.mul_coeffs(M[0, j], algebra_determinant(table, np.delete(M[1:], j, axis=1)))
         total += term if j % 2 == 0 else -term
     return total
 
@@ -433,34 +433,32 @@ class CommutativeAReport:
     c_consistency: float | None
 
 
-def _coefficient_rows(conditions: CRConditionSet) -> np.ndarray:
-    # rows indexed by variable, columns by condition: R[i, m] = a[m, i]
-    return np.transpose(conditions.a, (1, 0, 2))
-
-
-def _select_principal(table: AlgebraTable, R: np.ndarray, q: int,
-                      principal_rows) -> tuple[tuple[int, ...], np.ndarray, AlgElem]:
+def _select_principal(table: AlgebraTable, R: np.ndarray, q: int, principal_rows
+                      ) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
+    """The first candidate rows whose block P = R[rows] has an invertible
+    determinant D_0: the rows, adj(P), D_0 and P^-1 = adj(P) D_0^-1, where
+    adj[m, p] = (-1)^(p + m) det(P without row p and column m)."""
     n = R.shape[0]
-    if principal_rows is not None:
-        rows = tuple(int(i) for i in principal_rows)
+    if principal_rows is None:
+        candidates = itertools.combinations(range(n), q)
+    else:
+        rows = tuple(_as_integer(i, "principal_rows entry") for i in principal_rows)
         if len(rows) != q or len(set(rows)) != q or not all(0 <= i < n for i in rows):
             raise ValueError(f"principal_rows must be {q} distinct indices in [0, {n})")
+        candidates = [rows]
+    for rows in candidates:
         P = R[list(rows)]
-        det = algebra_determinant(table, P)
+        D0 = algebra_determinant(table, P)
         try:
-            inv = try_invert(AlgElem(table, det))
+            D0_inv = try_invert(AlgElem(table, D0)).coeffs
         except Singular as exc:
-            raise SingularPrincipalMinor(
-                f"principal minor at rows {rows} is singular") from exc
-        return rows, P, inv
-    for combo in itertools.combinations(range(n), q):
-        P = R[list(combo)]
-        det = algebra_determinant(table, P)
-        try:
-            inv = try_invert(AlgElem(table, det))
-        except Singular:
-            continue
-        return combo, P, inv
+            if principal_rows is None:
+                continue
+            raise SingularPrincipalMinor(f"principal minor at rows {rows} is singular") from exc
+        adj = np.array([[(-1) ** (p + m) * algebra_determinant(
+            table, np.delete(np.delete(P, p, axis=0), m, axis=1))
+            for p in range(q)] for m in range(q)])
+        return rows, adj, D0, _algebra_matmul(table, adj, np.eye(q)[:, :, None] * D0_inv)
     raise SingularPrincipalMinor("no invertible principal minor exists")
 
 
@@ -471,16 +469,19 @@ def commutative_condition_A(
 ) -> CommutativeAReport:
     """Decide admissibility for commutative associative algebras by determinants.
 
-    With principal variable rows r_0..r_{q-1} of the coefficient matrix and
-    D_0 their determinant, feasibility requires
+    With principal variable rows r_0..r_{q-1} of the coefficient matrix
+    R[i, m] = a[m, i], P their block and D_0 = det P, feasibility requires
 
         sum_p D[l][p] * D[k][p] + delta_{lk} D_0^2 = 0
 
-    for every pair of non-principal rows, where D[k][p] is the determinant of
-    the principal block with row p dropped and non-principal row k appended.
-    On success the coupling c and kernel weights b are reconstructed by
-    Cramer's rule and cross-checked against the bilinear constraints.
-    tol bounds the normalised residual and must be positive.
+    for every pair of non-principal rows, where D[k][p] is the determinant of P
+    with row p dropped and non-principal row k appended.  Moving that row up
+    to place p takes q - 1 - p swaps: D[k][p] = (-1)^(q-1-p) E[k, p], where
+    E = R[non-principal] adj(P) holds the determinants of P with row p
+    replaced by row k.  The signs cancel, so the sums are E E^T + D_0^2 I.
+    On success Cramer's rule, P^-1 = adj(P) D_0^-1, rebuilds the coupling c
+    and the weights b, cross-checked against the bilinear constraints.  tol
+    bounds the normalised residual and must be positive.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -493,71 +494,30 @@ def commutative_condition_A(
     n, q, dim = conditions.n, conditions.q, table.dim
     if q >= n:
         raise ValueError("criterion applies when q < n (some rows non-principal)")
-    R = _coefficient_rows(conditions)
-    rows, P, D0_inv = _select_principal(table, R, q, principal_rows)
-    D0 = algebra_determinant(table, P)
-    nonprincipal = [i for i in range(n) if i not in rows]
-    nq = len(nonprincipal)
+    R = conditions.a.swapaxes(0, 1)
+    rows, adj, D0, P_inv = _select_principal(table, R, q, principal_rows)
+    principal, nonprincipal = list(rows), [i for i in range(n) if i not in rows]
 
-    # D[k][p]: drop principal row p, append non-principal row k at the bottom
-    D = np.zeros((nq, q, dim))
-    for k, v in enumerate(nonprincipal):
-        for p in range(q):
-            M = np.concatenate([np.delete(P, p, axis=0), R[v][None]], axis=0)
-            D[k, p] = algebra_determinant(table, M)
-
-    D0_sq = table.mul_coeffs(D0, D0)
-    worst = 0.0
-    for k in range(nq):
-        for l in range(k, nq):
-            acc = np.zeros(dim)
-            for p in range(q):
-                acc += table.mul_coeffs(D[l, p], D[k, p])
-            if k == l:
-                acc += D0_sq
-            worst = max(worst, float(np.linalg.norm(acc)))
-    norm_scale = max(1.0, float(np.linalg.norm(D0)) ** 2,
-                     float(np.max(np.sum(D**2, axis=2))) if D.size else 1.0)
-    residual = worst / norm_scale
-    feasible = residual <= tol
-    if not feasible:
+    E = _algebra_matmul(table, R[nonprincipal], adj)
+    defect = _algebra_matmul(table, E, E.swapaxes(0, 1))
+    defect[np.arange(n - q), np.arange(n - q)] += table.mul_coeffs(D0, D0)
+    norm_scale = max(1.0, float(np.linalg.norm(D0)) ** 2, float(np.max(np.sum(E**2, axis=2))))
+    residual = float(np.max(np.linalg.norm(defect, axis=2))) / norm_scale
+    if not residual <= tol:
         return CommutativeAReport(False, residual, rows, None, None)
 
-    # coupling matrix: principal block is (e_0/n) * identity; every entry
-    # in a non-principal row or column is derived below
+    # the principal block of c is (e_0/n) I; with K = R[non-principal] P^-1
+    # the constraints fix the rest: K/n, its negated transpose, -K K^T/n
+    K = _algebra_matmul(table, R[nonprincipal], P_inv)
     e0_over_n = _diagonal_coupling(n, dim, 1.0 / n)
     c = e0_over_n.copy()
-
-    def derived_row(k: int, target: int) -> np.ndarray:
-        acc = np.zeros(dim)
-        for p in range(q):
-            sign = -1.0 if (q + p + 1) % 2 else 1.0
-            acc += sign * table.mul_coeffs(D[k, p], c[rows[p], target])
-        return table.mul_coeffs(D0_inv.coeffs, acc)
-
-    for k, v in enumerate(nonprincipal):
-        for rp in rows:
-            c[v, rp] = derived_row(k, rp)
-            c[rp, v] = -c[v, rp]
-    for k, v in enumerate(nonprincipal):
-        for w in nonprincipal:
-            c[v, w] = derived_row(k, w)
-
+    c[np.ix_(nonprincipal, principal)] = K / n
+    c[np.ix_(principal, nonprincipal)] = -K.swapaxes(0, 1) / n
+    c[np.ix_(nonprincipal, nonprincipal)] = -_algebra_matmul(table, K, K.swapaxes(0, 1)) / n
     consistency = float(np.max(np.linalg.norm(_constraint_rows(c - e0_over_n), axis=1)))
 
-    # kernel weights by Cramer: for each target variable i solve
-    #   sum_m P[p, m] * b[m, i] = c[r_p, i] / Vol
-    vol = ball_volume(n)
-    b = np.zeros((q, n, dim))
-    for i in range(n):
-        cvec = np.stack([c[rp, i] for rp in rows])
-        for m in range(q):
-            M = P.copy()
-            M[:, m] = cvec
-            det = algebra_determinant(table, M)
-            b[m, i] = table.mul_coeffs(D0_inv.coeffs, det) / vol
-
-    kernel = CauchyKernel(conditions, b)
+    # kernel weights: sum_m P[p, m] * b[m, i] = c[r_p, i] / Vol
+    kernel = CauchyKernel(conditions, _algebra_matmul(table, P_inv, c[principal]) / ball_volume(n))
     consistency = max(consistency, float(np.max(np.abs(kernel.c - c))))
     return CommutativeAReport(True, residual, rows, kernel, consistency)
 

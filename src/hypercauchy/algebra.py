@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -26,6 +27,15 @@ class AlgebraError(Exception):
 
 class Singular(AlgebraError):
     """Element has no (one-sided) inverse at working precision."""
+
+
+def _as_integer(value, what: str) -> int:
+    """value as an int by operator.index; floats and other non-integers
+    raise a ValueError that names the argument."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _as_gamma(gamma) -> np.ndarray:

@@ -17,12 +17,10 @@ solvers that return it.
 """
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
 from .admissibility import CauchyKernel
-from .algebra import AlgElem, ball_volume
+from .algebra import AlgElem, _as_integer, ball_volume
 
 
 class OnDiagonal(Exception):
@@ -56,10 +54,7 @@ def _check_off_diagonal(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def phi(kernel: CauchyKernel, m: int, x, y) -> AlgElem:
     """The linear form phi_m(x, y) = sum_i b[m, i] (y_i - x_i); zero at y = x."""
     q = kernel.conditions.q
-    try:
-        m = operator.index(m)
-    except TypeError:
-        raise ValueError(f"form index m must be an integer, got {m!r}") from None
+    m = _as_integer(m, "form index m")
     if not 0 <= m < q:
         raise ValueError(f"form index m must be in 0..{q - 1}, got {m}")
     x, y = _finite_point(kernel, "x", x), _finite_point(kernel, "y", y)

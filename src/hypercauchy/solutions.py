@@ -11,6 +11,7 @@ one polynomial of width n * dim) and polynomial_solution_basis both read.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations_with_replacement
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import admissibility
 from .admissibility import CRConditionSet, SystemTooLarge
-from .algebra import AlgebraTable, AlgElem
+from .algebra import AlgebraTable, AlgElem, _as_integer
 
 NULLSPACE_REL_SV = 1e-10
 DEFAULT_FD_STEP = 1e-5
@@ -244,6 +245,9 @@ def gradient_values(f, Y, dim: int) -> np.ndarray:
     otherwise.  Every derivative is written into one (N, n, dim) array.
     """
     if isinstance(f, AlgPolynomial):
+        if dim != f.table.dim:
+            raise ValueError(f"dim {dim} does not match the polynomial's algebra "
+                             f"dimension {f.table.dim}")
         Y = f._points(Y)
         return _evaluate(Y, *f._gradient).reshape(len(Y), f.n, dim)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -291,6 +295,7 @@ class PolySolutionBasis:
 
     def max_violation(self, samples: int = 50, seed: int = 0) -> float:
         """Largest |condition value| over basis elements at random points."""
+        samples = _as_integer(samples, "samples")
         if samples < 1:
             raise ValueError("samples must be >= 1")
         rng = np.random.default_rng(seed)
@@ -375,20 +380,21 @@ def polynomial_solution_basis(
     coefficient c to alpha_j * c * a[m, j] on the monomial alpha - e_j, so the
     map is assembled from right-multiplication matrices.  Basis rows come from
     the trailing singular vectors (sigma <= 1e-10 * sigma_max), orthonormal.
+    Any degree is accepted whose (M dim)^2 fits MAX_SYSTEM_ENTRIES.
     """
+    degree = _as_integer(degree, "degree")
     if degree < 0:
         raise ValueError("degree must be non-negative")
-    if degree > 6:
-        raise ValueError("degree > 6 not supported (coefficient map gets large)")
     table, n, q = conditions.table, conditions.n, conditions.q
     dim = table.dim
-    layout = monomial_exponents(n, degree)
-    M = len(layout)
-    # the full V^T of the SVD is the largest array: (M dim)^2
+    # the full V^T of the SVD is the largest array: (M dim)^2 for the
+    # M = C(n + degree, degree) monomials, counted before they are listed
+    M = math.comb(n + degree, degree)
     if (M * dim) ** 2 > admissibility.MAX_SYSTEM_ENTRIES:
         raise SystemTooLarge(f"the solution basis of degree {degree} needs "
                              f"{M * dim} x {M * dim} = {(M * dim) ** 2} entries; "
                              f"the limit is {admissibility.MAX_SYSTEM_ENTRIES}")
+    layout = monomial_exponents(n, degree)
     row_of = {e: t for t, e in enumerate(monomial_exponents(n, degree - 1))}
     exps = np.array(layout, dtype=int)
     k, j, lowered, alpha = _lowering(exps)

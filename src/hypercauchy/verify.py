@@ -99,13 +99,12 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgElem, ball_volume
+from .algebra import AlgElem, _as_integer, ball_volume
 from .kernel import CauchyKernel, _point
 from .solutions import AlgPolynomial, _eval_function, condition_values, gradient_values
 
@@ -171,10 +170,7 @@ class QuadratureSpec:
     nodes: int = 32
 
     def __post_init__(self):
-        try:
-            nodes = operator.index(self.nodes)
-        except TypeError:
-            raise ValueError(f"nodes must be an integer, got {self.nodes!r}") from None
+        nodes = _as_integer(self.nodes, "nodes")
         if nodes < MIN_NODES:
             raise ValueError(f"nodes must be >= {MIN_NODES}")
         object.__setattr__(self, "nodes", nodes)
@@ -581,10 +577,7 @@ def derivative_via_kernel(
     M = R * integral of the spectral norm of right-multiplication by the
     contracted flux, which bounds |df| by M sup|f| / R.
     """
-    try:
-        i = operator.index(i)
-    except TypeError:
-        raise ValueError(f"derivative direction must be an integer, got {i!r}") from None
+    i = _as_integer(i, "derivative direction")
     if not 0 <= i < kernel.n:
         raise ValueError("derivative direction out of range")
     x = _inside_point(x, domain, kernel)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypercauchy import admissibility
-from hypercauchy.algebra import builtin, ball_volume
+from hypercauchy.algebra import AlgElem, ball_volume, builtin, try_invert
 from hypercauchy.admissibility import (
     BasisNotAnticommuting,
     CauchyKernel,
@@ -41,6 +41,7 @@ from hypercauchy.families import (
     sample_dim3_table,
     single_condition,
 )
+from hypercauchy.solutions import polynomial_solution_basis
 
 TWO_PI = 2.0 * np.pi
 
@@ -303,6 +304,107 @@ def test_condition_a_matches_solver_on_induced_dbar():
     rep_s = solve_admissibility(cond)
     assert rep_a.feasible == rep_s.feasible is True
     assert rep_a.kernel.condition_violation() <= 1e-12
+
+
+def _det(table, M):
+    """Laplace expansion along the first row, independent of the package."""
+    if len(M) == 1:
+        return M[0, 0]
+    return sum((-1) ** j * table.mul_coeffs(M[0, j], _det(table, np.delete(M[1:], j, axis=1)))
+               for j in range(len(M)))
+
+
+def _literal_condition_a(C, rows):
+    """The criterion as its docstring states it: D[k][p] with principal row p
+    dropped and row k appended, the double sum, and b by Cramer's rule column
+    by column.  Returns (residual, b, c_consistency)."""
+    T, n, q = C.table, C.n, C.q
+    R = C.a.swapaxes(0, 1)
+    P = R[list(rows)]
+    D0 = _det(T, P)
+    D0_inv = try_invert(AlgElem(T, D0)).coeffs
+    free = [i for i in range(n) if i not in rows]
+    D = np.array([[_det(T, np.concatenate([np.delete(P, p, axis=0), R[v][None]]))
+                   for p in range(q)] for v in free])
+    worst = max(np.linalg.norm(sum(T.mul_coeffs(D[l, p], D[k, p]) for p in range(q))
+                               + (k == l) * T.mul_coeffs(D0, D0))
+                for k in range(len(free)) for l in range(len(free)))
+    residual = worst / max(1.0, np.linalg.norm(D0) ** 2, np.max(np.sum(D**2, axis=2)))
+    # row v of R is sum_p K[v, p] R[r_p] with K[v, p] = (-1)^(q-1-p) D[v][p] / D_0,
+    # and so is row v of c; the principal block is (e_0/n) I
+    K = [[(-1) ** (q - 1 - p) * T.mul_coeffs(D0_inv, D[k, p]) for p in range(q)]
+         for k in range(len(free))]
+    e0_over_n = np.eye(T.dim)[0] / n
+    c = np.zeros((n, n, T.dim))
+    c[np.arange(n), np.arange(n)] = e0_over_n
+    for k, v in enumerate(free):
+        for p, r in enumerate(rows):
+            c[v, r] = K[k][p] / n
+            c[r, v] = -c[v, r]
+    for k, v in enumerate(free):
+        for w in free:
+            c[v, w] = sum(T.mul_coeffs(K[k][p], c[r, w]) for p, r in enumerate(rows))
+    consistency = max([np.linalg.norm(c[i, i] - e0_over_n) for i in range(n)]
+                      + [np.linalg.norm(c[i, j] + c[j, i]) for i in range(n) for j in range(i)])
+    b = np.zeros((q, n, T.dim))
+    for i in range(n):
+        for m in range(q):
+            M = P.copy()
+            M[:, m] = c[list(rows), i]
+            b[m, i] = T.mul_coeffs(D0_inv, _det(T, M)) / ball_volume(n)
+    rebuilt = ball_volume(n) * np.einsum("mjs,mid,sde->jie", C.a, b, T.gamma)
+    return residual, b, max(consistency, np.max(np.abs(rebuilt - c)))
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("algebra", ["dim3", "tessarine"])
+def test_condition_a_matches_literal_determinant_form(algebra, q):
+    # tol=1e6 takes every draw down the Cramer path, infeasible ones included
+    rng = np.random.default_rng(17 + q)
+    for _ in range(4):
+        table = sample_dim3_table(rng, True) if algebra == "dim3" else builtin("tessarine")
+        C = CRConditionSet(table, q + 2, q, rng.standard_normal((q, q + 2, table.dim)))
+        rep = commutative_condition_A(C, tol=1e6)
+        residual, b, consistency = _literal_condition_a(C, rep.principal_rows)
+        assert rep.feasible
+        assert rep.residual == pytest.approx(residual, rel=1e-13)
+        assert np.max(np.abs(rep.kernel.b - b)) <= 1e-13 * np.max(np.abs(b))
+        assert rep.c_consistency == pytest.approx(consistency, rel=1e-13, abs=1e-15)
+
+
+def test_condition_a_matches_solver_on_dim2_sweep():
+    # a constructed pair where b^2 + 4a < 0, random invertible pairs elsewhere;
+    # both verdicts on each single condition and on its two induced copies
+    rng = np.random.default_rng(0)
+    grid = np.arange(-3.0, 3.0 + 0.25, 0.5)
+    verdicts = []
+    for a in grid:
+        for b in grid:
+            if abs(b * b + 4 * a) < 0.05:
+                continue
+            expected = dim2_expected_feasible(a, b)
+            C = (dim2_constructed_pair(a, b) if expected else
+                 random_invertible_single_condition(builtin("dim2", a, b), 2, rng))
+            for cond in (C, induced_conditions(C, 2)):
+                by_det = commutative_condition_A(cond).feasible
+                assert by_det == solve_admissibility(cond).feasible == expected, (a, b, cond.q)
+                verdicts.append(by_det)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+@pytest.mark.parametrize("name,call", [
+    ("principal_rows entry", lambda: commutative_condition_A(
+        a_differentiable_conditions(builtin("tessarine")), principal_rows=(1.7, 2.2, 3.9))),
+    ("samples", lambda: check_ellipticity(solve_admissibility(dbar_conditions()).kernel,
+                                          samples=2.5)),
+    ("copies", lambda: induced_conditions(dbar_conditions(), copies=2.5)),
+    ("degree", lambda: polynomial_solution_basis(dbar_conditions(), 2.5)),
+    ("samples", lambda: polynomial_solution_basis(dbar_conditions(), 1).max_violation(
+        samples=2.5)),
+], ids=["principal_rows", "ellipticity_samples", "copies", "degree", "basis_samples"])
+def test_count_arguments_must_be_integers(name, call):
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got (1\.7|2\.5)$"):
+        call()
 
 
 def test_m2r_first_hypothesis_infeasible():

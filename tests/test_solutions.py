@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from hypercauchy import admissibility
+from hypercauchy import admissibility, solutions
 from hypercauchy.admissibility import CRConditionSet, SystemTooLarge
 from hypercauchy.algebra import AlgElem, builtin
 from hypercauchy.families import dbar_conditions, fueter_conditions, gallery
@@ -16,6 +16,7 @@ from hypercauchy.solutions import (
     condition_values,
     gradient_values,
     monomial_exponents,
+    named_solution,
     polynomial_solution_basis,
 )
 
@@ -98,7 +99,7 @@ def test_duplicate_monomials_merge():
     np.testing.assert_allclose(p.coeffs, [[3.0, 0.0]])
 
 
-@pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 4, 7, 10])
 def test_dbar_nullspace_dimension(degree):
     # real dimension of holomorphic polynomials of degree <= d is 2(d+1)
     basis = polynomial_solution_basis(dbar_conditions(), degree)
@@ -182,9 +183,11 @@ def test_basis_elements_satisfy_conditions_at_random_points():
         assert basis.max_violation(samples=50, seed=1) <= 1e-10, case.name
 
 
-def test_degree_cap_enforced():
-    with pytest.raises(ValueError):
-        polynomial_solution_basis(dbar_conditions(), 7)
+def test_huge_degree_refused_before_listing_monomials(monkeypatch):
+    # C(10^6 + 4, 4) monomials: the size check counts them without listing
+    monkeypatch.setattr(solutions, "monomial_exponents", None)
+    with pytest.raises(SystemTooLarge, match="the solution basis of degree 1000000 needs"):
+        polynomial_solution_basis(fueter_conditions(), 10**6)
 
 
 def test_basis_size_checked_before_assembly(monkeypatch):
@@ -304,6 +307,13 @@ def test_gradient_values_of_monomials_in_any_order():
         d = _partial_derivative(p, j)
         scale = np.prod(np.abs(Y)[:, None, :] ** d.exponents, axis=2) @ np.abs(d.coeffs)
         assert np.all(np.abs(got[:, j] - d.eval_batch(Y)) <= 1e-14 * scale)
+
+
+def test_gradient_values_refuses_a_wrong_dim():
+    zeta1 = named_solution("zeta1", builtin("quaternion"), 4)
+    with pytest.raises(ValueError, match="dim 2 does not match the polynomial's "
+                                         "algebra dimension 4"):
+        gradient_values(zeta1, np.zeros((3, 4)), 2)
 
 
 def test_max_violation_needs_a_sample():
