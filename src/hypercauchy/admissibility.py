@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from .algebra import (
     AlgElem,
     Singular,
     _as_integer,
+    _as_seed,
     algebra_to_dict,
     ball_volume,
     load_algebra,
@@ -162,7 +164,7 @@ class CauchyKernel:
     def table(self) -> AlgebraTable:
         return self.conditions.table
 
-    @property
+    @cached_property
     def coupling_conditions(self) -> CRConditionSet:
         """The coupling conditions sum_j (df/dx_j) * c[j, i] = 0, one per i.
 
@@ -392,7 +394,7 @@ def check_ellipticity(
     conditions = kernel.conditions
     worst = kernel.condition_violation()
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_as_seed(seed))
     X = rng.standard_normal((samples, conditions.n))
     X /= np.linalg.norm(X, axis=1, keepdims=True)
     # P_m(X) components: sum_j X_j a[m, j, s]
@@ -442,9 +444,13 @@ def _select_principal(table: AlgebraTable, R: np.ndarray, q: int, principal_rows
     if principal_rows is None:
         candidates = itertools.combinations(range(n), q)
     else:
-        rows = tuple(_as_integer(i, "principal_rows entry") for i in principal_rows)
+        message = f"principal_rows must be {q} distinct indices in [0, {n})"
+        try:
+            rows = tuple(_as_integer(i, "principal_rows entry") for i in principal_rows)
+        except TypeError:  # not iterable
+            raise ValueError(message) from None
         if len(rows) != q or len(set(rows)) != q or not all(0 <= i < n for i in rows):
-            raise ValueError(f"principal_rows must be {q} distinct indices in [0, {n})")
+            raise ValueError(message)
         candidates = [rows]
     for rows in candidates:
         P = R[list(rows)]

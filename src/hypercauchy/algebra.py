@@ -38,6 +38,15 @@ def _as_integer(value, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
+def _as_seed(value) -> int:
+    """A random seed as a non-negative int; anything else raises a ValueError
+    that names the seed."""
+    seed = _as_integer(value, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _as_gamma(gamma) -> np.ndarray:
     g = np.asarray(gamma, dtype=float)
     if g.ndim != 3 or len(set(g.shape)) != 1:

@@ -11,12 +11,13 @@ from __future__ import annotations
 import json
 import os
 import sys
+from functools import cache, partial
 from pathlib import Path
 
 import click
 import numpy as np
 
-from .admissibility import load_conditions, solve_admissibility
+from .admissibility import CRConditionSet, load_conditions, solve_admissibility
 from .algebra import is_builtin_name, load_algebra, sum_of_basis_squares
 from .families import gallery
 from .kernel import CauchyKernel
@@ -91,27 +92,57 @@ def _name_or_file(spec: str, build, load, kind: str, noun: str,
         _fail(f"could not load {noun}: {exc}")
 
 
-def _resolve_conditions(spec: str):
-    cases = {case.name: case for case in gallery()}
-    case = cases.get(spec)
+# Gallery conditions, their kernels and the named solutions over them never
+# change, so each is built once per process; files are read on every request.
+# functools.cache keeps no exception, so an infeasible case fails every time.
+_GALLERY = {case.name: case for case in gallery()}
+
+
+@cache
+def _gallery_conditions(name: str) -> CRConditionSet:
+    return _GALLERY[name].build()
+
+
+@cache
+def _gallery_kernel(name: str) -> CauchyKernel:
+    return CauchyKernel.from_conditions(_gallery_conditions(name))
+
+
+@cache
+def _gallery_solution(function: str, conditions: str) -> AlgPolynomial:
+    C = _gallery_conditions(conditions)
+    return named_solution(function, C.table, C.n)
+
+
+def _clear_memo() -> None:
+    """Forget every memoised gallery object, as in a fresh process."""
+    for memo in (_gallery_conditions, _gallery_kernel, _gallery_solution):
+        memo.cache_clear()
+
+
+def _resolve_conditions(spec: str) -> CRConditionSet:
     return _name_or_file(
-        spec, None if case is None else case.build, load_conditions,
-        "gallery name", f"conditions from {spec!r}",
-        missing=f"{spec!r} is neither a gallery case ({', '.join(cases)}) "
+        spec, partial(_gallery_conditions, spec) if spec in _GALLERY else None,
+        load_conditions, "gallery name", f"conditions from {spec!r}",
+        missing=f"{spec!r} is neither a gallery case ({', '.join(_GALLERY)}) "
                 "nor a readable file",
         chosen="gallery case",
     )
 
 
-def _resolve_function(spec: str, table, n: int) -> AlgPolynomial:
+def _resolve_function(spec: str, conditions: str, C: CRConditionSet) -> AlgPolynomial:
     def load(path: str) -> AlgPolynomial:
         data = json.loads(Path(path).read_text())
-        return AlgPolynomial(table, data["exponents"], data["coeffs"])
+        return AlgPolynomial(C.table, data["exponents"], data["coeffs"])
 
-    named = spec in NAMED_SOLUTIONS
+    if spec not in NAMED_SOLUTIONS:
+        build = None
+    elif conditions in _GALLERY:
+        build = partial(_gallery_solution, spec, conditions)
+    else:
+        build = partial(named_solution, spec, C.table, C.n)
     return _name_or_file(
-        spec, (lambda: named_solution(spec, table, n)) if named else None, load,
-        "builtin function", f"polynomial from {spec!r}",
+        spec, build, load, "builtin function", f"polynomial from {spec!r}",
         missing=f"{spec!r} is neither a builtin function "
                 f"({', '.join(NAMED_SOLUTIONS)}) nor a readable file",
     )
@@ -222,13 +253,14 @@ def reproduce(conditions: str, function_spec: str, point: str,
         _fail("--tol must be positive")
     C = _resolve_conditions(conditions)
     try:
-        kernel = CauchyKernel.from_conditions(C)
+        kernel = (_gallery_kernel(conditions) if conditions in _GALLERY
+                  else CauchyKernel.from_conditions(C))
     except ValueError as exc:
         _fail(str(exc))
     x = _parse_vector("--point", point, C.n)
     c = np.zeros(C.n) if center is None else _parse_vector("--center", center, C.n)
     try:
-        f = _resolve_function(function_spec, C.table, C.n)
+        f = _resolve_function(function_spec, conditions, C)
         domain = BallDomain(c, radius)
         spec = QuadratureSpec(nodes=nodes)
         report = boundary_reproduce(f, x, domain, kernel, spec,
@@ -263,7 +295,10 @@ def reproduce(conditions: str, function_spec: str, point: str,
               default="json", show_default=True)
 def suite(name: str, seed: int, out: str | None, fmt: str) -> None:
     """Run a batch suite; exit code 2 when any check fails."""
-    result = run_suite(name, seed=seed)
+    try:
+        result = run_suite(name, seed=seed)
+    except ValueError as exc:
+        _fail(str(exc))
     text = list(result.lines)
     text.append(f"suite {name}: {'PASS' if result.passed else 'FAIL'}")
     _emit("suite", result.to_dict(), {"suite": name, "seed": seed},

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import AlgebraTable, AlgElem, Singular, builtin, try_invert
+from .algebra import AlgebraTable, AlgElem, Singular, _as_seed, builtin, try_invert
 from .admissibility import (
     CRConditionSet,
     a_differentiable_conditions,
@@ -46,6 +46,7 @@ def m2r_first_hypothesis(seed: int = 0) -> CRConditionSet:
     The remaining three coefficients are free; no choice makes the kernel
     constraints solvable, so any draw is a valid infeasibility witness.
     """
+    seed = _as_seed(seed)
     M = builtin("m2r")
     rng = np.random.default_rng(seed)
     a = np.zeros((1, 4, 4))

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import admissibility
 from .admissibility import CRConditionSet, SystemTooLarge
-from .algebra import AlgebraTable, AlgElem, _as_integer
+from .algebra import AlgebraTable, AlgElem, _as_integer, _as_seed
 
 NULLSPACE_REL_SV = 1e-10
 DEFAULT_FD_STEP = 1e-5
@@ -101,7 +101,7 @@ class AlgPolynomial:
     def n(self) -> int:
         return self.exponents.shape[1]
 
-    @property
+    @cached_property
     def degree(self) -> int:
         mask = np.any(self.coeffs != 0.0, axis=1)
         if not mask.any():
@@ -298,7 +298,7 @@ class PolySolutionBasis:
         samples = _as_integer(samples, "samples")
         if samples < 1:
             raise ValueError("samples must be >= 1")
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_as_seed(seed))
         pts = rng.normal(size=(samples, self.conditions.n))
         values = [condition_values(self.conditions, f, pts) for f in self.basis]
         return float(np.max(np.linalg.norm(values, axis=-1), initial=0.0))

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .admissibility import check_ellipticity, solve_admissibility
-from .algebra import builtin
+from .algebra import _as_seed, builtin
 from .families import (
     dim2_constructed_pair,
     dim2_expected_feasible,
@@ -180,6 +180,7 @@ def run_m2r(seed: int = 0) -> SuiteResult:
 
 
 def run_suite(name: str, seed: int = 0) -> SuiteResult:
+    seed = _as_seed(seed)
     if name == "gallery":
         return run_gallery(seed=seed)
     if name == "dim3":

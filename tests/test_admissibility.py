@@ -42,6 +42,7 @@ from hypercauchy.families import (
     single_condition,
 )
 from hypercauchy.solutions import polynomial_solution_basis
+from hypercauchy.suites import run_suite
 
 TWO_PI = 2.0 * np.pi
 
@@ -405,6 +406,30 @@ def test_condition_a_matches_solver_on_dim2_sweep():
 def test_count_arguments_must_be_integers(name, call):
     with pytest.raises(ValueError, match=rf"^{name} must be an integer, got (1\.7|2\.5)$"):
         call()
+
+
+def test_principal_rows_not_iterable_named():
+    cond = a_differentiable_conditions(builtin("tessarine"))
+    with pytest.raises(ValueError, match=r"^principal_rows must be 3 distinct indices"):
+        commutative_condition_A(cond, principal_rows=1)
+
+
+@pytest.mark.parametrize("seed,message", [
+    (2.5, "seed must be an integer, got 2.5"),
+    (-1, "seed must be a non-negative integer, got -1"),
+    ("a", "seed must be an integer, got 'a'"),
+], ids=["float", "negative", "string"])
+@pytest.mark.parametrize("call", [
+    lambda seed: check_ellipticity(solve_admissibility(dbar_conditions()).kernel,
+                                   seed=seed),
+    lambda seed: polynomial_solution_basis(dbar_conditions(), 1).max_violation(seed=seed),
+    lambda seed: run_suite("m2r", seed=seed),
+    m2r_first_hypothesis,
+], ids=["ellipticity", "basis", "suite", "m2r_q1"])
+def test_seed_arguments_named(call, seed, message):
+    # numpy raised a raw TypeError for 2.5 and "a", and its own ValueError for -1
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(seed)
 
 
 def test_m2r_first_hypothesis_infeasible():

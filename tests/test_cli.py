@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from hypercauchy import admissibility
+from hypercauchy import admissibility, cli
 from hypercauchy.admissibility import save_conditions
 from hypercauchy.algebra import builtin
 from hypercauchy.cli import main
@@ -31,6 +31,12 @@ def _run_cli(args, **env):
     child_env = {**os.environ, "PYTHONPATH": path, **env}
     return subprocess.run([sys.executable, "-m", "hypercauchy.cli", *args],
                           capture_output=True, env=child_env, timeout=120)
+
+
+@pytest.fixture(autouse=True)
+def _fresh_memo():
+    """Each test starts with no memoised gallery object, as a fresh process."""
+    cli._clear_memo()
 
 
 @pytest.fixture()
@@ -120,9 +126,10 @@ def test_cr_solve_unknown_spec_fails(runner):
 def test_builtin_name_wins_over_file_with_warning(runner, args, name):
     with runner.isolated_filesystem():
         Path(name).write_text("{}")
-        result = runner.invoke(main, args)
-        assert result.exit_code == 0
-        assert f"warning: {name!r} is both a" in result.stderr
+        for _ in range(2):  # the second request meets the memoised builtin
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0
+            assert f"warning: {name!r} is both a" in result.stderr
 
 
 def test_reproduce_cubic(runner):
@@ -251,6 +258,59 @@ def test_reproduce_octonion_a_solution_outside_coupling_space_fails(runner, tmp_
                                   "--point", "0.1,-0.05,0.05"])
     assert result.exit_code == 1
     assert "Cauchy conditions" in result.output and "coupling form" in result.output
+
+
+def test_repeated_reproduce_solves_the_gallery_kernel_once(runner, monkeypatch):
+    calls = []
+    solve = admissibility.solve_admissibility
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(admissibility, "solve_admissibility", counted)
+    args = ["reproduce", "fueter", "-f", "zeta1", "--point", "0.1,0.2,0,0.05"]
+    first, second = runner.invoke(main, args), runner.invoke(main, args)
+    assert first.exit_code == second.exit_code == 0
+    assert first.stdout_bytes == second.stdout_bytes
+    assert len(calls) == 1
+
+
+def test_infeasible_gallery_kernel_fails_on_every_request(runner):
+    args = ["reproduce", "adiff_split", "-f", "const", "--point", "0.1,0.2"]
+    first, second = runner.invoke(main, args), runner.invoke(main, args)
+    assert first.exit_code == second.exit_code == 1
+    assert first.output == second.output
+    assert first.output.startswith("error: conditions are not admissible")
+
+
+def test_polynomial_file_is_read_on_every_request(runner, tmp_path):
+    poly = tmp_path / "poly.json"
+    args = ["reproduce", "dbar", "-f", str(poly), "--point", "0.2,-0.3"]
+    computed = []
+    for coeffs in ([[1.0, 0.0], [0.0, 1.0]], [[2.0, 0.0], [0.0, 2.0]]):  # z, then 2z
+        poly.write_text(json.dumps({"exponents": [[1, 0], [0, 1]], "coeffs": coeffs}))
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        computed.append(_json_payload(result)["report"]["computed"])
+    np.testing.assert_allclose(computed, [[0.2, -0.3], [0.4, -0.6]], atol=1e-12)
+
+
+def test_memoised_gallery_objects_are_read_only(runner):
+    result = runner.invoke(main, ["reproduce", "fueter", "-f", "zeta1",
+                                  "--point", "0.1,0,0,0"])
+    assert result.exit_code == 0
+    kernel = cli._gallery_kernel("fueter")
+    f = cli._gallery_solution("zeta1", "fueter")
+    assert kernel.conditions is cli._gallery_conditions("fueter")
+    for array in (kernel.b, kernel.c, kernel.conditions.a, f.coeffs):
+        assert not array.flags.writeable
+
+
+def test_suite_negative_seed_fails(runner):
+    result = runner.invoke(main, ["suite", "m2r", "--seed", "-1"])
+    assert result.exit_code == 1
+    assert result.output == "error: seed must be a non-negative integer, got -1\n"
 
 
 def test_suite_m2r_passes(runner):
