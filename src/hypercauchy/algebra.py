@@ -91,6 +91,18 @@ class AlgebraTable:
     def commutative(self) -> bool:
         return check_commutative(self)
 
+    @cached_property
+    def norm_multiplicative(self) -> bool:
+        """True iff |x * q| = |x| |q| for all x, q: the right multiplications
+        R_k[:, i] = gamma[i, k, :] satisfy R_k^T R_l + R_l^T R_k = 2 delta_kl I
+        at FLAG_TOL, so every R(q) = sum_k q_k R_k is |q| times an isometry
+        (the composition algebras R, C, H and O among the builtins; Hurwitz)."""
+        g = self.gamma
+        # P[k, l, i, j] = (R_k^T R_l)[i, j] = sum_s gamma[i, k, s] gamma[j, l, s]
+        P = np.einsum("iks,jls->klij", g, g)
+        target = 2.0 * np.einsum("kl,ij->klij", np.eye(self.dim), np.eye(self.dim))
+        return float(np.max(np.abs(P + P.transpose(1, 0, 2, 3) - target))) <= FLAG_TOL
+
     # -- element construction ------------------------------------------
 
     def elem(self, coeffs) -> AlgElem:

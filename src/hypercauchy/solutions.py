@@ -225,14 +225,23 @@ def _eval_function(f, Y: np.ndarray, dim: int) -> np.ndarray:
 
     Objects with eval_batch (AlgPolynomial among them) are evaluated in one
     call; any other callable is called once per node and may return a
-    coefficient vector or an AlgElem.
+    coefficient vector or an AlgElem.  Values of another shape raise a
+    ValueError that names f.
     """
     if hasattr(f, "eval_batch"):
-        return np.asarray(f.eval_batch(Y), dtype=float)
+        out = np.asarray(f.eval_batch(Y), dtype=float)
+        if out.shape != (Y.shape[0], dim):
+            raise ValueError(f"f returned values of shape {out.shape} at {Y.shape[0]} "
+                             f"points; expected ({Y.shape[0]}, {dim})")
+        return out
     out = np.empty((Y.shape[0], dim))
     for t in range(Y.shape[0]):
         v = f(Y[t])
-        out[t] = v.coeffs if isinstance(v, AlgElem) else np.asarray(v, dtype=float)
+        v = np.asarray(v.coeffs if isinstance(v, AlgElem) else v, dtype=float)
+        if v.shape != (dim,):
+            raise ValueError(f"f returned a value of shape {v.shape} at y = "
+                             f"{Y[t].tolist()}; the algebra has dimension {dim}")
+        out[t] = v
     return out
 
 

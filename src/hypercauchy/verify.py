@@ -67,9 +67,23 @@ A_q[e, j, s] = sum_r u_q[r] df_s/dy_j(y_re),
 
     M[j, i, s] = a_i sum_e w_e A_0[e, j, s] + sum_e w_e h_ei A_1[e, j, s].
 
+The radial rule has spec.nodes Gauss points.  For an AlgPolynomial of
+degree p the volume term takes m = max(1, ceil(p / 2)) of them when that is
+fewer: the radial integrand reach df(x + t reach omega) carries no power of
+t and has degree p - 1 in t, which m Gauss points integrate exactly.  Any
+other f takes all spec.nodes.  The node budget and the node count stay
+those of the rule, rows * spec.nodes * |eta|.
+
 So a node costs only y and f(y) (df(y) in the volume): each block of rows
 adds one (rows of u, rows) @ (rows, |eta| m) product to A, and A meets w,
 w h and w h h^T once, after the last block, one small product per i.
+
+The derivative term forms omega, reach and s node by node, since its bound
+constant is no row sum: it integrates the spectral norm of right
+multiplication by each node's flux.  Where the table is norm_multiplicative
+(the composition algebras R, C, H and O: right multiplication by q is |q|
+times an isometry) that norm is |flux|; elsewhere it is the square root of
+the largest eigenvalue of the Gram matrix (eigvalsh), one per node.
 
 The row sum of a polynomial.  Every boundary point is y = center +
 alpha a + beta h with alpha^2 + beta^2 = R^2, so for a fixed h_e a
@@ -99,6 +113,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -165,7 +180,9 @@ class BallDomain:
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Resolution of the sphere rule: Gauss nodes per angle; only the polar
-    angle above n = 4.  Volume terms add nodes radial points per direction."""
+    angle above n = 4.  Volume terms add nodes radial points per direction
+    to the rule; a polynomial of degree p is evaluated on max(1, ceil(p / 2))
+    of them when that is fewer, which is exact for it."""
 
     nodes: int = 32
 
@@ -347,6 +364,16 @@ def _row_sums(F, base, beta, h, u) -> np.ndarray:
     return A
 
 
+def _finite(values: np.ndarray, Y: np.ndarray, what: str) -> np.ndarray:
+    """values (N, m) of what at the points Y (N, n) as they enter a node sum,
+    refused with a ValueError that names what and the first such point
+    unless every entry is finite."""
+    if not np.isfinite(values).all():
+        bad = ~np.isfinite(values).all(axis=1)
+        raise ValueError(f"{what} is not finite at y = {Y[bad][0].tolist()}")
+    return values
+
+
 def _check_degree_around_axis(f, n: int, extra: int) -> None:
     """Above n = 4 refuse f unless the rule around the polar axis is exact
     for it (see the module docstring)."""
@@ -374,15 +401,18 @@ def _check_is_solution(f, kernel: CauchyKernel, x: np.ndarray,
                        domain: BallDomain) -> None:
     """Refuse f unless it solves the coupling conditions near x.
 
-    The defect is scaled by n, since n c has e_0 on its diagonal.
+    The defect is scaled by n, since n c has e_0 on its diagonal.  Values or
+    defects that are not finite are refused by name first.
     """
     gap = domain.radius - float(np.linalg.norm(x - domain.center))
     steps = 0.25 * gap * np.eye(kernel.n)
     pts = np.vstack([x, x + steps, x - steps])
-    scale = max(1.0, float(np.max(np.abs(_eval_function(f, pts, kernel.table.dim)))))
+    peak = float(np.max(np.abs(_eval_function(f, pts, kernel.table.dim))))
     values = condition_values(kernel.coupling_conditions, f, pts)
     worst = kernel.n * float(np.max(np.linalg.norm(values, axis=2)))
-    if worst > 1e-4 * scale:
+    if not math.isfinite(peak + worst):  # np.max keeps NaN, max(1.0, nan) would not
+        raise ValueError(f"f or df/dy is not finite near x = {x.tolist()}")
+    if worst > 1e-4 * max(1.0, peak):
         raise ValueError(
             f"f violates the Cauchy conditions near x in their coupling form "
             f"sum_j (df/dy_j) * c[j, i] = 0 (defect {worst:.3e}); "
@@ -444,7 +474,7 @@ def _boundary_term(f, x, domain, kernel, spec) -> tuple[np.ndarray, int]:
                                   sin_theta * alpha, sin_theta * beta])
     base = x[:, None] + (reach * cos_theta) * a[:, None]  # (n, rows)
     base, beta, u = _summed_rows(f, domain, a, base, alpha, beta, u)
-    A = _row_sums(lambda Y: _eval_function(f, Y, dim), base, beta, h, u)
+    A = _row_sums(lambda Y: _finite(_eval_function(f, Y, dim), Y, "f"), base, beta, h, u)
     hw = h * w_eta
     T0, T1, T2 = w_eta @ A[0], hw @ A[1], hw @ A[2]
     # w h h^T: one small product per i, not one (n^2, |eta|) @ (|eta|, dim)
@@ -464,7 +494,8 @@ def _reproduction_report(f, x, kernel, spec, term,
     rule, of half the nodes (double when half is below MIN_NODES), and
     QuadratureUnderResolved is raised when the two differ by more.
     """
-    if target_error is not None and not target_error > 0:
+    if target_error is not None and not (isinstance(target_error, numbers.Real)
+                                         and target_error > 0):
         raise ValueError(f"target_error must be positive, got {target_error!r}")
     acc, used = term(spec)
     if target_error is not None:
@@ -515,23 +546,30 @@ def boundary_reproduce(
 def _volume_term(f, x, domain, kernel, spec) -> tuple[np.ndarray, int]:
     """Integral of sum_j (df/dy_j) * Flux^j(y; x) over the ball along rays
     from x, y = x + t reach omega with t on [0, 1], summed row by row of
-    (theta, t) with two row weights (see the module docstring)."""
+    (theta, t) with two row weights (see the module docstring), on
+    max(1, ceil(p / 2)) radial points for an AlgPolynomial of degree p and
+    spec.nodes otherwise.  The node count returned is the size of the rule."""
     n, k, dim = domain.n, spec.nodes, kernel.table.dim
     a, h, w_eta, cos_theta, sin_theta, w_theta = _polar_rule(x, domain, spec, k)
+    # df(x + t reach omega) reach has degree p - 1 in t for a polynomial f of
+    # degree p, which m = ceil(p / 2) Gauss points integrate exactly
+    m = min(k, max(1, -(-f.degree // 2))) if isinstance(f, AlgPolynomial) else k
     d = x - domain.center
     p = cos_theta * float(a @ d)  # omega . d: h is orthogonal to d
     reach = np.sqrt(p * p + (domain.radius**2 - float(d @ d))) - p
-    t, t_w = _gauss_legendre(k)
+    t, t_w = _gauss_legendre(m)
     r = np.outer(reach, 0.5 * (t + 1.0)).ravel()  # t reach on the rows (theta_r, t_q)
-    cos_r, sin_r = np.repeat(cos_theta, k), np.repeat(sin_theta, k)
+    cos_r, sin_r = np.repeat(cos_theta, m), np.repeat(sin_theta, m)
     u = np.outer(w_theta * reach, 0.5 * t_w).ravel() * np.stack([cos_r, sin_r])
-    A = _row_sums(lambda Y: gradient_values(f, Y, dim).reshape(len(Y), -1),
-                  x[:, None] + (r * cos_r) * a[:, None], r * sin_r, h, u)
+    def df(Y):
+        return _finite(gradient_values(f, Y, dim).reshape(len(Y), -1), Y, "df/dy")
+
+    A = _row_sums(df, x[:, None] + (r * cos_r) * a[:, None], r * sin_r, h, u)
     T0 = w_eta @ A[0]
     # M[i, (j, s)], one small product per i, as w h h^T in the boundary term
     M = np.stack([a_i * T0 + (h_i * w_eta) @ A[1] for a_i, h_i in zip(a, h)])
     return (_flux_contraction(M.reshape(n, n, dim).swapaxes(0, 1), kernel),
-            len(r) * len(w_eta))
+            len(w_theta) * k * len(w_eta))
 
 
 def verify_representation(
@@ -575,7 +613,9 @@ def derivative_via_kernel(
     the integral of f against it returns the i-th partial derivative of f
     at x.  Also reports the empirical constant
     M = R * integral of the spectral norm of right-multiplication by the
-    contracted flux, which bounds |df| by M sup|f| / R.
+    contracted flux, which bounds |df| by M sup|f| / R.  That norm is |flux|
+    when the table is norm_multiplicative and the largest singular value,
+    from eigvalsh of the Gram matrix at each node, otherwise.
     """
     i = _as_integer(i, "derivative direction")
     if not 0 <= i < kernel.n:
@@ -607,13 +647,17 @@ def derivative_via_kernel(
         Z[i] -= 1.0
         flux = _normal_flux(((Y - domain.center[:, None]) / R).T, Z.T, kernel)
         wd = w * R / (s * reach)
-        fv = _eval_function(f, Y.T, table.dim)
+        fv = _finite(_eval_function(f, Y.T, table.dim), Y.T, "f")
         S = S + (wd[:, None] * fv).T @ flux
         # empirical Cauchy-estimate constant: spectral norms of the matrices
-        # of right multiplication by each node's flux
-        right_mult = np.einsum("ijk,tj->tki", gamma, flux)
-        gram = np.swapaxes(right_mult, 1, 2) @ right_mult
-        norms = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+        # of right multiplication by each node's flux, |flux| itself where
+        # every right multiplication is a scaled isometry
+        if table.norm_multiplicative:
+            norms = np.linalg.norm(flux, axis=1)
+        else:
+            right_mult = np.einsum("ijk,tj->tki", gamma, flux)
+            gram = np.swapaxes(right_mult, 1, 2) @ right_mult
+            norms = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
         weighted_norms += float(np.sum(wd * norms))
         sup_f = max(sup_f, float(np.max(np.linalg.norm(fv, axis=1))))
         used += len(w)

@@ -160,6 +160,31 @@ def test_clifford_table():
     assert not T.commutative
 
 
+def _perturbed_quaternion():
+    g = builtin("quaternion").gamma.copy()
+    g[1, 2, 3] += 1e-6
+    return AlgebraTable(g)
+
+
+@pytest.mark.parametrize("name,expected", [
+    ("complex", True), ("quaternion", True), ("octonion", True),
+    ("sedenion", False), ("m2r", False), ("tessarine", False),
+    ("clifford(2,3)", False), ("dim2(1,0)", False), ("perturbed quaternion", False),
+])
+def test_norm_multiplicative_flag(name, expected):
+    # oracle: the singular values of right multiplication by random q are
+    # all |q| exactly when the table is norm-multiplicative
+    T = _perturbed_quaternion() if name == "perturbed quaternion" else builtin(name)
+    assert T.norm_multiplicative is expected
+    rng = np.random.default_rng(T.dim)
+    spread = 0.0
+    for _ in range(20):
+        q = rng.normal(size=T.dim)
+        sv = np.linalg.svd(T.right_mult_matrix(q), compute_uv=False)
+        spread = max(spread, float(np.max(np.abs(sv - np.linalg.norm(q)))))
+    assert (spread <= 1e-13) is expected
+
+
 def test_sum_of_basis_squares_values():
     # includes the unit's square e_0
     assert sum_of_basis_squares(builtin("complex")).is_zero()

@@ -522,6 +522,62 @@ def test_non_finite_input_rejected_with_named_field(field, build):
         build()
 
 
+def _nan_beyond(f, radius):
+    """f as a plain callable, NaN at |y| >= radius."""
+    def g(y):
+        if np.linalg.norm(y) < radius:
+            return f.evaluate(y)
+        return np.full(f.table.dim, np.nan)
+    return g
+
+
+@pytest.mark.parametrize("entry", ["boundary", "representation", "derivative"])
+@pytest.mark.parametrize("build,radius,message", [
+    (lambda table: (lambda y: np.ones(3)), 1.0,
+     r"f returned a value of shape \(3,\) at y = .*dimension 4"),
+    (lambda table: (lambda y: np.full(4, np.nan)), 1.0, "f (or df/dy )?is not finite"),
+    # NaN on the sphere only: the check near x passes and the node sums meet it
+    (lambda table: _nan_beyond(_zeta1(), 0.9), 1.0, "f is not finite at y"),
+    # a Fueter-regular cubic overflows on a ball of radius 1e150
+    (lambda table: polynomial_solution_basis(fueter_conditions(), 3).basis[-1], 1e150,
+     "f (or df/dy )?is not finite"),
+], ids=["short", "nan", "nan-on-the-sphere", "overflow"])
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_bad_function_values_refused_by_name(entry, build, radius, message):
+    K = _fueter_kernel()
+    f, D, spec = build(K.table), BallDomain(np.zeros(4), radius), QuadratureSpec(nodes=8)
+    x = np.full(4, 0.1 * radius)
+    call = {
+        "boundary": lambda: boundary_reproduce(f, x, D, K, spec),
+        "representation": lambda: verify_representation(f, x, D, K, spec),
+        "derivative": lambda: derivative_via_kernel(f, x, 0, D, K, spec),
+    }[entry]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_non_finite_derivative_values_refused_by_name():
+    # f = 1e308 y0^2 is finite on the ball of radius 1.2; its derivative,
+    # whose coefficient 2e308 overflows, is not
+    table = builtin("complex")
+    f = AlgPolynomial(table, [[2, 0]], [[1e308, 0.0]])
+    K, D = _complex_kernel(), BallDomain(np.zeros(2), 1.2)
+    assert np.all(np.isfinite(f.eval_batch(np.array([[1.2, 0.0]]))))
+    with pytest.raises(ValueError, match="df/dy is not finite at y"):
+        _volume_term(f, np.zeros(2), D, K, QuadratureSpec(nodes=8))
+
+
+@pytest.mark.parametrize("bad", ["1e-3", [1e-3], 1e-3j], ids=["str", "list", "complex"])
+def test_non_numeric_target_error_rejected_by_name(bad):
+    K, D = _fueter_kernel(), BallDomain(np.zeros(4), 1.0)
+    for reproduce in (boundary_reproduce, verify_representation):
+        with pytest.raises(ValueError, match="target_error must be positive"):
+            reproduce(_zeta1(), np.zeros(4), D, K, QuadratureSpec(nodes=8),
+                      target_error=bad)
+
+
 def test_node_budget_checked_before_allocation():
     D = BallDomain(np.zeros(4), 1.0)
     with pytest.raises(QuadratureTooLarge):
@@ -609,9 +665,11 @@ def _whole_rays(D, spec, x):
 
 
 @pytest.mark.parametrize("name,nodes", [
+    # fueter and octonion_single take the fast path |flux|: their algebras
+    # are norm-multiplicative; sedenion_single and m2r_q3 take eigvalsh
+    # (sigma_max / sigma_min of right multiplication by the flux reaches 10
+    # at the sedenion nodes here); both paths against the SVD
     ("fueter", 12), ("octonion_single", 16), ("sedenion_single", 16),
-    # right multiplication is a scaled isometry in the three above, so all
-    # its singular values agree; in m2r_q3 the largest one stands alone
     ("m2r_q3", 12),
 ])
 def test_bound_constant_matches_svd_norms(name, nodes):
@@ -629,6 +687,27 @@ def test_bound_constant_matches_svd_norms(name, nodes):
     wd = w * D.radius / (s * reach)
     ref = D.radius * np.sum(wd * np.linalg.norm(right_mult, 2, axis=(1, 2)))
     assert rep.bound_constant == pytest.approx(ref, rel=1e-13)
+
+
+@pytest.mark.parametrize("name,fast", [
+    ("fueter", True), ("octonion_single", True), ("dbar_induced2", True),
+    ("m2r_q3", False), ("adiff_tessarine", False), ("sedenion_single", False),
+])
+def test_derivative_norms_skip_eigvalsh_on_norm_multiplicative_tables(name, fast,
+                                                                      monkeypatch):
+    # eigvalsh sees every node where right multiplication is no scaled
+    # isometry, and none where the norm is |flux|
+    K = _gallery_kernel(name)
+    n, dim = K.n, K.table.dim
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: seen.append(len(a)) or eigvalsh(a))
+    f = AlgPolynomial.constant(K.table, n, np.linspace(1.0, 2.0, dim))
+    rep = derivative_via_kernel(f, np.linspace(-0.2, 0.3, n), 0,
+                                BallDomain(np.zeros(n), 1.5), K, QuadratureSpec(nodes=8))
+    assert K.table.norm_multiplicative is fast
+    assert sum(seen) == (0 if fast else rep.nodes)
 
 
 # -- parity with the per-node sums ----------------------------------------------
@@ -814,20 +893,19 @@ def _shell_sum_parts(K, f, x, D, spec):
     return np.concatenate(parts)
 
 
-def _check_streamed_terms(n, k, seed):
+def _check_streamed_terms(n, k, seed, degree=3):
     # oracle: the textbook per-node sums over the whole rule seen from x,
     # with the flux from kernel_field_batch (r^-n included) and the ray
     # elements reach^(n-1) / (nu . omega) of the sphere and r^(n-1) dr of
-    # the ball
+    # the ball on spec.nodes radial points; the volume term takes
+    # ceil(degree / 2) of them, exact for the integrand of degree - 1 in t
     K = _stream_kernel(n)
     table, dim = K.table, K.table.dim
     rng = np.random.default_rng(seed)
     D = BallDomain(rng.uniform(-1.0, 1.0, n), rng.uniform(0.5, 2.0))
     u = rng.normal(size=n)
     x = D.center + D.radius * rng.uniform(0.0, 0.8) * u / np.linalg.norm(u)
-    # cubic, so the radial rule must integrate quadratics in t: symmetric
-    # nodes with equal weights integrate the linear ones exactly
-    layout = monomial_exponents(n, 3)
+    layout = monomial_exponents(n, degree)
     f = AlgPolynomial(table, layout, rng.normal(size=(len(layout), dim)))
     spec = QuadratureSpec(nodes=k)
 
@@ -871,18 +949,25 @@ def _check_streamed_terms(n, k, seed):
 
 
 @settings(max_examples=25, deadline=None)
-@given(n=st.integers(1, 4), k=st.integers(8, 48), seed=st.integers(0, 2**32 - 1))
+@given(n=st.integers(1, 4), k=st.integers(8, 48), seed=st.integers(0, 2**32 - 1),
+       degree=st.integers(0, 5))
 # sup_boundary differed in the last bit here while the derivative term took
 # omega . d on a transposed view and the oracle on a node-major array
-@example(n=3, k=34, seed=168)
-@example(n=3, k=32, seed=464832488)
-@example(n=4, k=22, seed=3879967560)
-@example(n=4, k=45, seed=4291447014)
-@example(n=4, k=29, seed=3860900651)
-def test_streamed_terms_match_whole_rule_sums(n, k, seed):
+@example(n=3, k=34, seed=168, degree=3)
+@example(n=3, k=32, seed=464832488, degree=3)
+@example(n=4, k=22, seed=3879967560, degree=3)
+@example(n=4, k=45, seed=4291447014, degree=3)
+@example(n=4, k=29, seed=3860900651, degree=3)
+def test_streamed_terms_match_whole_rule_sums(n, k, seed, degree):
     # 8..48 nodes per axis: rows of k^(n-2) nodes that mostly do not divide
-    # CHUNK, so the last block is short
-    _check_streamed_terms(n, k, seed)
+    # CHUNK, so the last block is short; degrees 0..5 take 1, 2 and 3
+    # radial points in the volume term
+    _check_streamed_terms(n, k, seed, degree)
+
+
+def test_streamed_terms_match_whole_rule_sums_when_the_radial_rule_is_full():
+    # degree 16 at k = 8: ceil(16 / 2) = 8 radial points, the rule's own
+    _check_streamed_terms(2, 8, seed=11, degree=16)
 
 
 def test_streamed_terms_match_whole_rule_sums_above_four_dims():
@@ -1021,6 +1106,33 @@ def test_polynomial_row_sum_falls_back_to_the_rule_rows(k, rows, monkeypatch):
         assert np.array_equal(got, ref)
     else:
         assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("degree,k,radial", [
+    (0, 12, 1), (2, 12, 1), (3, 12, 2), (5, 12, 3), (15, 8, 8), (16, 8, 8), (17, 8, 8),
+])
+def test_volume_term_takes_ceil_half_degree_radial_points(degree, k, radial, monkeypatch):
+    # n = 2: rows of k polar angles times 2 directions around the axis; a
+    # polynomial of degree p takes min(k, max(1, ceil(p / 2))) radial points,
+    # the same polynomial behind an opaque eval_batch all k, and nodes is the
+    # size of the rule either way
+    K = _stream_kernel(2)
+    rng = np.random.default_rng(degree)
+    D = BallDomain(rng.uniform(-0.5, 0.5, 2), 1.3)
+    x = D.center + np.array([0.4, -0.3])
+    layout = monomial_exponents(2, degree)
+    f = AlgPolynomial(K.table, layout, rng.normal(size=(len(layout), K.table.dim)))
+    spec = QuadratureSpec(nodes=k)
+    points = []
+    gradient = verify.gradient_values
+    monkeypatch.setattr(verify, "gradient_values",
+                        lambda f, Y, dim: points.append(len(Y)) or gradient(f, Y, dim))
+    got, used = _volume_term(f, x, D, K, spec)
+    assert sum(points) == k * radial * 2 and used == k * k * 2
+    _assert_streamed(got, _shell_sum_parts(K, f, x, D, spec))
+    points.clear()
+    _, used = _volume_term(_Opaque(f), x, D, K, spec)
+    assert sum(points) == k * k * 2 and used == k * k * 2
 
 
 # -- the sphere rule aligned with the pole ---------------------------------------
