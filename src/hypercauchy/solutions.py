@@ -8,13 +8,15 @@ requested degree as the nullspace of the exact coefficient map.
 Polynomials of any width go through one evaluator, _evaluate, and one
 derivative map on monomials, _lowering, which gradient_values (all partials as
 one polynomial of width n * dim) and polynomial_solution_basis both read.
+The evaluator builds each monomial from its prefix with one multiplication,
+by a plan (_EvalPlan) made once per polynomial and once for its gradient.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, groupby
 from typing import Sequence
 
 import numpy as np
@@ -25,7 +27,14 @@ from .algebra import AlgebraTable, AlgElem, _as_integer, _as_seed
 
 NULLSPACE_REL_SV = 1e-10
 DEFAULT_FD_STEP = 1e-5
-EVAL_BLOCK = 1024
+EVAL_BLOCK = 1024  # points per product with the coefficients
+# points per sub-block of _evaluate: its buffers hold about EVAL_ENTRIES
+# numbers (128 KiB: they stay in cache, and malloc keeps serving them from
+# the heap; sub-blocks of 48K numbers and more cost a represent_derive
+# request 150-200 fresh pages), and at least MIN_EVAL_ROWS points, below
+# which numpy's cost per call dominates
+EVAL_ENTRIES = 16384
+MIN_EVAL_ROWS = 64
 
 
 def monomial_exponents(n: int, degree: int) -> list[tuple[int, ...]]:
@@ -38,6 +47,31 @@ def monomial_exponents(n: int, degree: int) -> list[tuple[int, ...]]:
         out.extend(sorted(tuple(map(variables.count, range(n)))
                           for variables in combinations_with_replacement(range(n), total)))
     return out
+
+
+@dataclass(frozen=True)
+class _EvalPlan:
+    """How _evaluate builds the monomials exps (M, n) with one multiplication
+    each (Carnicer & Gasca, 1990).
+
+    The work rows of a sub-block of points are the monomial 1 (row 0), the
+    powers x_j^k, 1 <= k <= degree (row 1 + (k - 1) n + j), then every
+    monomial of support size >= 2 that exps or a prefix needs, level by
+    level of support size.  A monomial's prefix is the monomial with its
+    last nonzero exponent set to 0, and the monomial is its prefix times one
+    power.  levels: per support size >= 2 its work rows lo:hi and the rows
+    of its powers, then of its prefixes; order: the work row of each
+    monomial of exps; scratch: rows of the buffer the factors of a level,
+    or the monomials of a sub-block, are gathered into; rows: points per
+    sub-block, so that its work and scratch rows hold about EVAL_ENTRIES
+    numbers, from MIN_EVAL_ROWS to EVAL_BLOCK."""
+
+    degree: int
+    size: int
+    levels: tuple
+    order: np.ndarray
+    scratch: int
+    rows: int
 
 
 @dataclass(frozen=True)
@@ -69,7 +103,8 @@ class AlgPolynomial:
             raise ValueError("a polynomial needs at least one variable")
         if np.any(exps < 0):
             raise ValueError("exponents must be non-negative")
-        # the power table of _evaluate holds (deg + 1) n numbers per point
+        # the power table of _evaluate holds at most (deg + 1) n numbers per
+        # point, for at most EVAL_BLOCK points at a time
         deg = int(exps.max(initial=0))
         if (deg + 1) * exps.shape[1] * EVAL_BLOCK > admissibility.MAX_SYSTEM_ENTRIES:
             raise ValueError(f"exponent {deg} is too large: its power table needs "
@@ -113,7 +148,7 @@ class AlgPolynomial:
 
     def eval_batch(self, X) -> np.ndarray:
         """Values at many points: X (N, n) -> (N, dim)."""
-        return _evaluate(self._points(X), self.exponents, self.coeffs)
+        return _evaluate(self._points(X), self._plan, self.coeffs)
 
     def _points(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -123,13 +158,25 @@ class AlgPolynomial:
         return X
 
     @cached_property
-    def _gradient(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every partial derivative as one polynomial of width n * dim:
-        (exponents, coeffs) with df/dx_j in column block j, built once."""
+    def _plan(self) -> _EvalPlan:
+        return _eval_plan(self.exponents)
+
+    @cached_property
+    def _gradient(self) -> tuple[_EvalPlan, np.ndarray]:
+        """Every partial derivative as one polynomial of width n * dim: the
+        plan of its exponents and its coeffs, with df/dx_j in column block
+        j, built once."""
         k, j, lowered, alpha = _lowering(self.exponents)
+        with np.errstate(over="ignore"):
+            scaled = alpha[:, None] * self.coeffs[k]
+        if not np.isfinite(scaled).all():
+            t = int(np.flatnonzero(~np.isfinite(scaled).all(axis=1))[0])
+            raise ValueError(f"df/dx_{j[t]} of the monomial {self.exponents[k[t]].tolist()} "
+                             f"overflows: its coefficient times {alpha[t]} is not finite")
         cfs = np.zeros((len(k), self.n, self.table.dim))
-        cfs[np.arange(len(k)), j] = alpha[:, None] * self.coeffs[k]
-        return _merged(lowered, cfs.reshape(len(k), self.n * self.table.dim))
+        cfs[np.arange(len(k)), j] = scaled
+        exps, cfs = _merged(lowered, cfs.reshape(len(k), self.n * self.table.dim))
+        return _eval_plan(exps), cfs
 
     def __add__(self, other: AlgPolynomial) -> AlgPolynomial:
         self._check_compatible(other)
@@ -196,27 +243,81 @@ def _lowering(exps: np.ndarray) -> tuple[np.ndarray, ...]:
     return k, j, lowered, exps[k, j]
 
 
-def _evaluate(X: np.ndarray, exps: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+def _eval_plan(exps: np.ndarray) -> _EvalPlan:
+    """The plan of _evaluate for the monomials exps (M, n); see _EvalPlan."""
+    n, degree = exps.shape[1], int(exps.max(initial=0))
+    support: dict[tuple[int, ...], list[int]] = {}  # of support size >= 2
+    for e in map(tuple, exps.tolist()):
+        while e not in support:
+            s = [j for j, v in enumerate(e) if v]
+            if len(s) < 2:
+                break
+            support[e] = s
+            e = e[: s[-1]] + (0,) * (n - s[-1])
+    members = sorted(support, key=lambda e: (len(support[e]), e))
+    work = {e: 1 + degree * n + r for r, e in enumerate(members)}
+
+    def row(e: tuple[int, ...]) -> int:
+        if e in work:
+            return work[e]
+        s = [j for j, v in enumerate(e) if v]
+        return 1 + (e[s[0]] - 1) * n + s[0] if s else 0
+
+    levels, lo = [], 1 + degree * n
+    for _, group in groupby(members, key=lambda e: len(support[e])):
+        ends = [(e, support[e][-1]) for e in group]
+        gather = ([1 + (e[j] - 1) * n + j for e, j in ends]
+                  + [row(e[:j] + (0,) * (n - j)) for e, j in ends])
+        levels.append((lo, lo + len(ends), np.array(gather, dtype=np.intp)))
+        lo += len(ends)
+    scratch = max([len(exps)] + [2 * (hi - lo) for lo, hi, _ in levels])
+    rows = min(EVAL_BLOCK, max(MIN_EVAL_ROWS, EVAL_ENTRIES // (lo + scratch)))
+    order = np.array([row(e) for e in map(tuple, exps.tolist())], dtype=np.intp)
+    return _EvalPlan(degree, lo, tuple(levels), order, scratch, rows)
+
+
+def _evaluate(X: np.ndarray, plan: _EvalPlan, coeffs: np.ndarray) -> np.ndarray:
     """sum_k coeffs[k] x^exps[k] at the rows of X: (N, n) -> (N, width).
 
-    Per EVAL_BLOCK rows, the power table P[k] = P[k-1] * X.T, P[0] = 1,
-    holds every x_j^k the exponents ask for (deg multiplications per
-    variable, no float pow); the monomials (M, B) are the products over j of
-    its rows P[exps[:, j], j], summed by one product with coeffs.  Blocks keep
-    P and the monomials small; each row of the result reads its own point.
+    Per sub-block of plan.rows points the powers P[k] = P[k-1] * x, P[1] = x,
+    hold every x_j^k the exponents ask for (no float pow), and each level of
+    the plan is one gather of its powers and prefixes and one multiplication,
+    in buffers made once per call.  The product runs left to right over the
+    variables, as the product over j of x_j^exps[:, j] does.  The monomials
+    of exps, in their order, are summed by one product with coeffs per
+    EVAL_BLOCK rows: the sums BLAS returns for a row depend on the rows of
+    the call.
     """
-    deg = int(exps.max(initial=0))
+    n, M, deg = X.shape[1], len(plan.order), plan.degree
     out = np.empty((X.shape[0], coeffs.shape[1]))
+    rows = min(plan.rows, X.shape[0])
+    work = np.empty(plan.size * rows)
+    scratch = np.empty(plan.scratch * rows)
+    mono = np.empty(M * min(EVAL_BLOCK, X.shape[0]))
     for lo in range(0, X.shape[0], EVAL_BLOCK):
-        Xt = X[lo : lo + EVAL_BLOCK].T
-        P = np.empty((deg + 1,) + Xt.shape)
-        P[0] = 1.0
-        for k in range(1, deg + 1):
-            P[k] = P[k - 1] * Xt
-        mono = P[:, 0][exps[:, 0]]
-        for j in range(1, exps.shape[1]):
-            mono *= P[:, j][exps[:, j]]
-        out[lo : lo + EVAL_BLOCK] = mono.T @ coeffs
+        hi = min(lo + EVAL_BLOCK, X.shape[0])
+        block = mono[: M * (hi - lo)].reshape(M, hi - lo)
+        for s in range(lo, hi, rows):
+            r = min(rows, hi - s)
+            W = work[: plan.size * r].reshape(plan.size, r)
+            W[0] = 1.0
+            if deg:
+                P = W[1 : 1 + deg * n].reshape(deg, n, r)
+                P[0] = X[s : s + r].T
+                for k in range(1, deg):
+                    np.multiply(P[k - 1], P[0], out=P[k])
+            # mode="clip": the rows are in range, and "raise" buffers out
+            for a, b, gather in plan.levels:
+                F = scratch[: len(gather) * r].reshape(len(gather), r)
+                W.take(gather, axis=0, out=F, mode="clip")
+                np.multiply(F[: b - a], F[b - a :], out=W[a:b])
+            if r == hi - lo:
+                W.take(plan.order, axis=0, out=block, mode="clip")
+            else:
+                F = scratch[: M * r].reshape(M, r)
+                W.take(plan.order, axis=0, out=F, mode="clip")
+                block[:, s - lo : s - lo + r] = F
+        np.matmul(block.T, coeffs, out=out[lo:hi])
     return out
 
 

@@ -78,12 +78,19 @@ So a node costs only y and f(y) (df(y) in the volume): each block of rows
 adds one (rows of u, rows) @ (rows, |eta| m) product to A, and A meets w,
 w h and w h h^T once, after the last block, one small product per i.
 
-The derivative term forms omega, reach and s node by node, since its bound
-constant is no row sum: it integrates the spectral norm of right
-multiplication by each node's flux.  Where the table is norm_multiplicative
+The derivative term needs each node's flux, since its bound constant is no
+row sum: it integrates the spectral norm of right multiplication by the
+flux.  The flux of d/dx_i is sum_jk nu_j Z_k c[j, k] / Vol(B_n) with
+Z = n omega_i omega - e_i; as nu = (alpha a + beta h) / R and omega =
+cos(theta) a + sin(theta) h, it is bilinear in the row factors
+P = (alpha, beta) x (cos^2, cos sin, sin^2, 1) of theta (_flux_rows) and
+the direction factors Q of h (_flux_directions), so a block's flux is one
+(rows, 8) @ (8, |eta| dim) product.  Where the table is norm_multiplicative
 (the composition algebras R, C, H and O: right multiplication by q is |q|
 times an isometry) that norm is |flux|; elsewhere it is the square root of
-the largest eigenvalue of the Gram matrix (eigvalsh), one per node.
+the largest eigenvalue of the Gram matrix (eigvalsh), one per node.  f is
+evaluated on every node, at the points y = x + reach omega formed node by
+node, since sup_boundary is a maximum over the nodes.
 
 The row sum of a polynomial.  Every boundary point is y = center +
 alpha a + beta h with alpha^2 + beta^2 = R^2, so for a fixed h_e a
@@ -104,10 +111,10 @@ of the rule.
 Every sum streams in blocks of about CHUNK nodes that one walker,
 _row_blocks, cuts for all three terms: whole rows, a row wider than CHUNK
 cut around the axis.  Each block is turned into a partial sum by one GEMM
-and added in block order, so no array spans the whole rule.  Only the 1-D
-Gauss-Legendre factors are cached.  MAX_QUADRATURE_NODES caps the nodes of
-any rule, and MAX_AXIS_NODES the Gauss nodes per angle, before anything is
-built.
+and added in block order, so no array spans the whole rule.  The 1-D
+Gauss-Legendre factors and the rules around the axis (per n and k) are
+cached, read-only.  MAX_QUADRATURE_NODES caps the nodes of any rule, and
+MAX_AXIS_NODES the Gauss nodes per angle, before anything is built.
 """
 from __future__ import annotations
 
@@ -233,16 +240,21 @@ def sphere_area(n: int, radius: float = 1.0) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0) * radius ** (n - 1)
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only: the rules below are cached and shared."""
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
 @functools.lru_cache(maxsize=GAUSS_CACHE_SIZE)
 def _gauss_legendre(k: int):
     """The k-node Gauss-Legendre rule on [-1, 1] as read-only (t, w), shared
     by the angles and the radius.  Callers check k against MAX_AXIS_NODES."""
-    t, w = np.polynomial.legendre.leggauss(k)
-    t.setflags(write=False)
-    w.setflags(write=False)
-    return t, w
+    return _read_only(*np.polynomial.legendre.leggauss(k))
 
 
+@functools.lru_cache(maxsize=GAUSS_CACHE_SIZE)
 def _sphere_directions_gauss(n: int, k: int):
     """Unit directions and weights of the product Gauss rule on the unit
     (n-1)-sphere, sum(w) = its area.
@@ -255,7 +267,7 @@ def _sphere_directions_gauss(n: int, k: int):
     as an (N, n) view.
     """
     if n == 1:
-        return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
+        return _read_only(np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]))
     t, wt = _gauss_legendre(k)
     half_pi = 0.5 * math.pi
     axes = [(half_pi * t + half_pi, half_pi * wt)] * (n - 2)
@@ -277,9 +289,10 @@ def _sphere_directions_gauss(n: int, k: int):
         if axis < n - 2:
             w = w * on_axis(sin_theta ** (n - 2 - axis), axis)
     omega[n - 1] = sin_prod
-    return omega.reshape(n, -1).T, w.ravel()
+    return _read_only(omega.reshape(n, -1).T, w.ravel())
 
 
+@functools.lru_cache(maxsize=GAUSS_CACHE_SIZE)
 def _sphere_directions_degree5(m: int):
     """The fully symmetric degree-5 rule on the unit sphere of R^m (Stroud,
     1971): the 2m points +-e_i with weight A (4 - m) / (2m (m + 2)) and the
@@ -290,7 +303,7 @@ def _sphere_directions_degree5(m: int):
     omega = np.vstack([eye, -eye, pairs, -pairs])
     w = np.full(len(omega), sphere_area(m) / (m * (m + 2)))
     w[: 2 * m] *= 0.5 * (4 - m)
-    return omega, w
+    return _read_only(omega, w)
 
 
 def _polar_rule(x: np.ndarray, domain: BallDomain, spec: QuadratureSpec,
@@ -364,10 +377,15 @@ def _row_sums(F, base, beta, h, u) -> np.ndarray:
     return A
 
 
-def _finite(values: np.ndarray, Y: np.ndarray, what: str) -> np.ndarray:
-    """values (N, m) of what at the points Y (N, n) as they enter a node sum,
-    refused with a ValueError that names what and the first such point
-    unless every entry is finite."""
+def _node_values(f, Y: np.ndarray, dim: int, what: str) -> np.ndarray:
+    """The values of f (what = "f") or of its derivatives (what = "df/dy",
+    (N, n dim)) at the points Y (N, n) as they enter a node sum.  They are
+    computed under np.errstate(over="ignore", invalid="ignore") and refused
+    with a ValueError that names what and the first such point unless every
+    entry is finite, so an overflow is refused by name, not warned about."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = (_eval_function(f, Y, dim) if what == "f"
+                  else gradient_values(f, Y, dim).reshape(len(Y), -1))
     if not np.isfinite(values).all():
         bad = ~np.isfinite(values).all(axis=1)
         raise ValueError(f"{what} is not finite at y = {Y[bad][0].tolist()}")
@@ -402,14 +420,17 @@ def _check_is_solution(f, kernel: CauchyKernel, x: np.ndarray,
     """Refuse f unless it solves the coupling conditions near x.
 
     The defect is scaled by n, since n c has e_0 on its diagonal.  Values or
-    defects that are not finite are refused by name first.
+    defects that are not finite are refused by name first, computed under
+    np.errstate(over="ignore", invalid="ignore") so that no numpy warning
+    comes before the refusal.
     """
     gap = domain.radius - float(np.linalg.norm(x - domain.center))
     steps = 0.25 * gap * np.eye(kernel.n)
     pts = np.vstack([x, x + steps, x - steps])
-    peak = float(np.max(np.abs(_eval_function(f, pts, kernel.table.dim))))
-    values = condition_values(kernel.coupling_conditions, f, pts)
-    worst = kernel.n * float(np.max(np.linalg.norm(values, axis=2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        peak = float(np.max(np.abs(_eval_function(f, pts, kernel.table.dim))))
+        values = condition_values(kernel.coupling_conditions, f, pts)
+        worst = kernel.n * float(np.max(np.linalg.norm(values, axis=2)))
     if not math.isfinite(peak + worst):  # np.max keeps NaN, max(1.0, nan) would not
         raise ValueError(f"f or df/dy is not finite near x = {x.tolist()}")
     if worst > 1e-4 * max(1.0, peak):
@@ -420,11 +441,42 @@ def _check_is_solution(f, kernel: CauchyKernel, x: np.ndarray,
         )
 
 
-def _normal_flux(nu: np.ndarray, X: np.ndarray, kernel: CauchyKernel) -> np.ndarray:
-    """sum_{j,i} nu_j X_i c[j, i] / Vol(B_n) at each node: (N, dim)."""
-    n = kernel.n
-    coupling = kernel.c.reshape(n * n, -1) / ball_volume(n)
-    return (nu.T[:, None, :] * X.T[None, :, :]).reshape(n * n, -1).T @ coupling
+def _flux_rows(alpha, beta, cos_theta, sin_theta) -> np.ndarray:
+    """The row factors P (rows, 8) of the derivative's flux, for y - center =
+    alpha a + beta h and omega = cos(theta) a + sin(theta) h (see
+    _flux_directions)."""
+    cc, cs, ss = cos_theta * cos_theta, cos_theta * sin_theta, sin_theta * sin_theta
+    return np.stack([alpha * cc, alpha * cs, alpha * ss, beta * cc, beta * cs,
+                     beta * ss, alpha, beta], axis=1)
+
+
+def _flux_directions(h: np.ndarray, a: np.ndarray, i: int, c: np.ndarray) -> np.ndarray:
+    """The direction factors Q (8, |h| dim) of the derivative's flux around
+    the axis a, for the directions h (n, |h|) and the coupling c scaled by
+    1 / (Vol(B_n) R).
+
+    The flux of d/dx_i at a node is sum_jk nu_j Z_k c[j, k] / Vol(B_n) with
+    Z = n omega_i omega - e_i and nu = (alpha a + beta h) / R.  With
+    C(u, v) = sum_jk u_j v_k c[j, k] it is P @ Q, P from _flux_rows and
+    Q = (n a_i C(a, a), n a_i C(a, h) + n h_i C(a, a), n h_i C(a, h),
+    n a_i C(h, a), n a_i C(h, h) + n h_i C(h, a), n h_i C(h, h),
+    -C(a, e_i), -C(h, e_i))."""
+    n, dim = c.shape[1], c.shape[2]
+    Ca = (a @ c.reshape(n, -1)).reshape(n, dim)  # Ca[k] = C(a, e_k)
+    Ch = (h.T @ c.reshape(n, -1)).reshape(-1, n, dim)  # Ch[e, k] = C(h_e, e_k)
+    Caa, Cah, Cha = a @ Ca, h.T @ Ca, Ch.swapaxes(1, 2) @ a
+    Chh = np.einsum("ke,ekd->ed", h, Ch)
+    na, nh = n * a[i], n * h[i, :, None]
+    Q = np.empty((8, h.shape[1], dim))
+    Q[0] = na * Caa
+    Q[1] = na * Cah + nh * Caa
+    Q[2] = nh * Cah
+    Q[3] = na * Cha
+    Q[4] = na * Chh + nh * Cha
+    Q[5] = nh * Chh
+    Q[6] = -Ca[i]
+    Q[7] = -Ch[:, i]
+    return Q.reshape(8, -1)
 
 
 def _flux_contraction(M: np.ndarray, kernel: CauchyKernel) -> np.ndarray:
@@ -474,7 +526,7 @@ def _boundary_term(f, x, domain, kernel, spec) -> tuple[np.ndarray, int]:
                                   sin_theta * alpha, sin_theta * beta])
     base = x[:, None] + (reach * cos_theta) * a[:, None]  # (n, rows)
     base, beta, u = _summed_rows(f, domain, a, base, alpha, beta, u)
-    A = _row_sums(lambda Y: _finite(_eval_function(f, Y, dim), Y, "f"), base, beta, h, u)
+    A = _row_sums(lambda Y: _node_values(f, Y, dim, "f"), base, beta, h, u)
     hw = h * w_eta
     T0, T1, T2 = w_eta @ A[0], hw @ A[1], hw @ A[2]
     # w h h^T: one small product per i, not one (n^2, |eta|) @ (|eta|, dim)
@@ -561,10 +613,8 @@ def _volume_term(f, x, domain, kernel, spec) -> tuple[np.ndarray, int]:
     r = np.outer(reach, 0.5 * (t + 1.0)).ravel()  # t reach on the rows (theta_r, t_q)
     cos_r, sin_r = np.repeat(cos_theta, m), np.repeat(sin_theta, m)
     u = np.outer(w_theta * reach, 0.5 * t_w).ravel() * np.stack([cos_r, sin_r])
-    def df(Y):
-        return _finite(gradient_values(f, Y, dim).reshape(len(Y), -1), Y, "df/dy")
-
-    A = _row_sums(df, x[:, None] + (r * cos_r) * a[:, None], r * sin_r, h, u)
+    A = _row_sums(lambda Y: _node_values(f, Y, dim, "df/dy"),
+                  x[:, None] + (r * cos_r) * a[:, None], r * sin_r, h, u)
     T0 = w_eta @ A[0]
     # M[i, (j, s)], one small product per i, as w h h^T in the boundary term
     M = np.stack([a_i * T0 + (h_i * w_eta) @ A[1] for a_i, h_i in zip(a, h)])
@@ -629,25 +679,31 @@ def derivative_via_kernel(
     a, h, w_eta, cos_theta, sin_theta, w_theta = _polar_rule(x, domain, spec)
     d = x - domain.center
     gap = R**2 - float(d @ d)
-    S, weighted_norms, sup_f, used = 0.0, 0.0, 0.0, 0
+    # per row of theta, as in the boundary term: y - center = alpha a + beta h
+    # and s; d/dx_i (X_k / r^n) = (n omega_i omega_k - delta_ik) / r^n, and
+    # dS = reach^(n-1) R / s d omega leaves the weight w R / (s reach)
+    ad = float(a @ d)
+    s_row = np.sqrt((cos_theta * ad) ** 2 + gap)
+    reach_row = s_row - cos_theta * ad
+    rows_f = _flux_rows(ad + reach_row * cos_theta, reach_row * sin_theta,
+                        cos_theta, sin_theta)
+    w_row = w_theta * R / (s_row * reach_row)
+    c = kernel.c / (ball_volume(n) * R)
+    S, weighted_norms, sup_f, used, last = 0.0, 0.0, 0.0, 0, None
     for rows, cols in _row_blocks(len(w_theta), len(w_eta)):
-        # node-major (N, n), so p = omega . d is the same product, to the
-        # last bit, as in a node-by-node sum over the whole rule
+        if cols != last:
+            directions = _flux_directions(h[:, cols], a, i, c)
+            last = cols
+        # f is evaluated on every node: sup_boundary is a maximum over them.
+        # Node-major (N, n), so p = omega . d and the points y are the same
+        # products, to the last bit, as in a node-by-node sum over the rule
         omega = (cos_theta[rows, None, None] * a
                  + sin_theta[rows, None, None] * h.T[cols]).reshape(-1, n)
-        w = (w_theta[rows, None] * w_eta[cols]).ravel()
-        # p = omega . d, s and reach per node: the spectral norms are no row sum
         p = omega @ d
-        s = np.sqrt(p * p + gap)
-        reach = s - p
-        Y = x[:, None] + reach * omega.T  # (n, N): coordinate-major
-        # d/dx_i (X_k / r^n) = (n omega_i omega_k - delta_ik) / r^n, and
-        # dS = reach^(n-1) R / s d omega leaves the weight w R / (s reach)
-        Z = n * omega.T[i] * omega.T
-        Z[i] -= 1.0
-        flux = _normal_flux(((Y - domain.center[:, None]) / R).T, Z.T, kernel)
-        wd = w * R / (s * reach)
-        fv = _finite(_eval_function(f, Y.T, table.dim), Y.T, "f")
+        Y = x[:, None] + (np.sqrt(p * p + gap) - p) * omega.T  # (n, N): coordinate-major
+        flux = (rows_f[rows] @ directions).reshape(-1, table.dim)
+        wd = (w_row[rows, None] * w_eta[cols]).ravel()
+        fv = _node_values(f, Y.T, table.dim, "f")
         S = S + (wd[:, None] * fv).T @ flux
         # empirical Cauchy-estimate constant: spectral norms of the matrices
         # of right multiplication by each node's flux, |flux| itself where
@@ -660,7 +716,7 @@ def derivative_via_kernel(
             norms = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
         weighted_norms += float(np.sum(wd * norms))
         sup_f = max(sup_f, float(np.max(np.linalg.norm(fv, axis=1))))
-        used += len(w)
+        used += len(wd)
     value = np.ravel(S) @ gamma.reshape(table.dim**2, table.dim)
     M = R * weighted_norms
     bound = weighted_norms * sup_f

@@ -383,3 +383,92 @@ def test_eval_batch_constant_and_empty_inputs(n):
                           [[1.0, 0.5]])
     for p in (const, cubic):
         assert p.eval_batch(np.zeros((0, n))).shape == (0, 2)
+
+
+# -- the prefix evaluator against the gather evaluator it replaced --------------
+
+
+def _gather_oracle(X, exps, coeffs):
+    """sum_k coeffs[k] x^exps[k] per EVAL_BLOCK rows: the power table
+    P[k] = P[k-1] * X.T, the monomials as n fancy-index gathers of its rows,
+    multiplied left to right over j, summed by one product with coeffs."""
+    deg = int(exps.max(initial=0))
+    out = np.empty((X.shape[0], coeffs.shape[1]))
+    for lo in range(0, X.shape[0], EVAL_BLOCK):
+        Xt = X[lo : lo + EVAL_BLOCK].T
+        P = np.empty((deg + 1,) + Xt.shape)
+        P[0] = 1.0
+        for k in range(1, deg + 1):
+            P[k] = P[k - 1] * Xt
+        mono = P[:, 0][exps[:, 0]]
+        for j in range(1, exps.shape[1]):
+            mono *= P[:, j][exps[:, j]]
+        out[lo : lo + EVAL_BLOCK] = mono.T @ coeffs
+    return out
+
+
+def _gradient_oracle(p):
+    """Every df/dx_j as one polynomial of width n * dim, as the gather
+    evaluator read it: (exponents, coeffs)."""
+    k, j, lowered, alpha = solutions._lowering(p.exponents)
+    cfs = np.zeros((len(k), p.n, p.table.dim))
+    cfs[np.arange(len(k)), j] = alpha[:, None] * p.coeffs[k]
+    return solutions._merged(lowered, cfs.reshape(len(k), p.n * p.table.dim))
+
+
+@pytest.mark.parametrize("n,degree", [(n, d) for n in (1, 2, 4, 8) for d in range(8)]
+                         + [(16, d) for d in range(4)])
+def test_prefix_evaluator_bit_equal_to_gather_evaluator(n, degree):
+    # each monomial is its prefix times one power, one multiplication, in
+    # the order of the gather evaluator's product over j: every value and
+    # every derivative is the same float; the layouts are graded, shuffled
+    # and top degree only (whose prefixes the plan adds), and the point
+    # counts straddle the sub-blocks and EVAL_BLOCK
+    rng = np.random.default_rng([n, degree])
+    table = builtin(("reals", "complex", "quaternion")[degree % 3])
+    graded = np.array(monomial_exponents(n, degree))
+    layouts = [graded, graded[rng.permutation(len(graded))],
+               graded[graded.sum(axis=1) == degree]]
+    for exps in layouts:
+        p = AlgPolynomial(table, exps, rng.normal(size=(len(exps), table.dim)))
+        grad_exps, grad_coeffs = _gradient_oracle(p)
+        block = p._plan.rows
+        for N in sorted({0, 1, block - 1, block, block + 1, 3 * block + 5,
+                         EVAL_BLOCK + 1}):
+            X = rng.uniform(-1.5, 1.5, size=(N, n))
+            assert np.array_equal(p.eval_batch(X), _gather_oracle(X, p.exponents, p.coeffs))
+            assert np.array_equal(gradient_values(p, X, table.dim).reshape(N, n * table.dim),
+                                  _gather_oracle(X, grad_exps, grad_coeffs))
+
+
+def test_evaluation_plan_sizes_its_sub_blocks():
+    # the plan is built once per polynomial and once for its gradient; a
+    # sub-block's buffers hold about EVAL_ENTRIES numbers, with at least
+    # MIN_EVAL_ROWS and at most EVAL_BLOCK points
+    cubic = _random_polynomial(builtin("quaternion"), 4, 3, np.random.default_rng(0))
+    plan = cubic._plan
+    assert cubic._plan is plan and cubic._gradient[0] is cubic._gradient[0]
+    assert (plan.size + plan.scratch) * plan.rows <= solutions.EVAL_ENTRIES
+    assert (plan.size + plan.scratch) * (plan.rows + 1) > solutions.EVAL_ENTRIES
+    assert _fueter_zeta(1)._plan.rows == EVAL_BLOCK
+    # a degree of 4095 leaves no room for MIN_EVAL_ROWS points in EVAL_ENTRIES
+    high = AlgPolynomial(builtin("quaternion"), [[4095, 0, 0, 0], [1, 1, 1, 1]],
+                         [[1.0, 0, 0, 0], [0, 1.0, 0, 0]])
+    assert high._plan.rows == solutions.MIN_EVAL_ROWS
+    X = np.random.default_rng(1).uniform(-1.0, 1.0, size=(3, 4))
+    np.testing.assert_array_equal(high.eval_batch(X),
+                                  _gather_oracle(X, high.exponents, high.coeffs))
+
+
+@pytest.mark.filterwarnings("error")
+def test_gradient_coefficient_overflow_refused_by_name():
+    # 1e308 y0^2 is a finite polynomial whose derivative 2e308 y0 is not:
+    # refused when the gradient is built, with no numpy warning first, and
+    # refused again on the next call rather than cached
+    p = AlgPolynomial(builtin("complex"), [[0, 1], [2, 0]], [[1.0, 0.0], [1e308, 0.0]])
+    for _ in range(2):
+        with pytest.raises(ValueError, match=re.escape(
+                "df/dx_0 of the monomial [2, 0] overflows: its coefficient times 2 "
+                "is not finite")):
+            gradient_values(p, np.zeros((1, 2)), 2)
+    assert np.isfinite(p.eval_batch(np.ones((1, 2)))).all()

@@ -1,5 +1,6 @@
 import functools
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -39,8 +40,10 @@ from hypercauchy.verify import (
     QuadratureUnderResolved,
     _boundary_term,
     _flux_contraction,
-    _normal_flux,
+    _flux_directions,
+    _flux_rows,
     _polar_rule,
+    _sphere_directions_degree5,
     _sphere_directions_gauss,
     _volume_term,
     boundary_reproduce,
@@ -542,8 +545,7 @@ def _nan_beyond(f, radius):
     (lambda table: polynomial_solution_basis(fueter_conditions(), 3).basis[-1], 1e150,
      "f (or df/dy )?is not finite"),
 ], ids=["short", "nan", "nan-on-the-sphere", "overflow"])
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error")  # refused by name, with no numpy warning first
 def test_bad_function_values_refused_by_name(entry, build, radius, message):
     K = _fueter_kernel()
     f, D, spec = build(K.table), BallDomain(np.zeros(4), radius), QuadratureSpec(nodes=8)
@@ -557,16 +559,24 @@ def test_bad_function_values_refused_by_name(entry, build, radius, message):
         call()
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_non_finite_derivative_values_refused_by_name():
     # f = 1e308 y0^2 is finite on the ball of radius 1.2; its derivative,
-    # whose coefficient 2e308 overflows, is not
+    # whose coefficient 2e308 overflows, is refused when it is built
     table = builtin("complex")
     f = AlgPolynomial(table, [[2, 0]], [[1e308, 0.0]])
     K, D = _complex_kernel(), BallDomain(np.zeros(2), 1.2)
     assert np.all(np.isfinite(f.eval_batch(np.array([[1.2, 0.0]]))))
-    with pytest.raises(ValueError, match="df/dy is not finite at y"):
+    refusal = re.escape("df/dx_0 of the monomial [2, 0] overflows: its coefficient "
+                        "times 2 is not finite")
+    with pytest.raises(ValueError, match=refusal):
         _volume_term(f, np.zeros(2), D, K, QuadratureSpec(nodes=8))
+    # a callable whose central differences overflow meets the node sums
+    def g(y):
+        return np.array([1.5e308 * np.cos(1e6 * y[0]), 0.0])
+
+    with pytest.raises(ValueError, match="df/dy is not finite at y"):
+        _volume_term(g, np.zeros(2), D, K, QuadratureSpec(nodes=8))
 
 
 @pytest.mark.parametrize("bad", ["1e-3", [1e-3], 1e-3j], ids=["str", "list", "complex"])
@@ -647,6 +657,18 @@ def test_sphere_directions_match_per_node_construction(n, k):
     ref_omega, ref_w = _per_node_gauss(n, k)
     assert np.array_equal(omega, ref_omega)
     np.testing.assert_allclose(w, ref_w, rtol=0, atol=1e-15)
+    # built once per (n, k) and shared read-only, as the Gauss factors are
+    again = _sphere_directions_gauss(n, k)
+    assert again[0] is omega and again[1] is w
+    assert not (omega.flags.writeable or w.flags.writeable)
+
+
+@pytest.mark.parametrize("m", [2, 5, 7, 15])
+def test_symmetric_directions_cached_read_only(m):
+    omega, w = _sphere_directions_degree5(m)
+    assert omega.shape == (2 * m * m, m) and w.sum() == pytest.approx(sphere_area(m))
+    assert _sphere_directions_degree5(m)[0] is omega
+    assert not (omega.flags.writeable or w.flags.writeable)
 
 
 # -- the derivative bound constant against batched SVD norms -------------------
@@ -662,6 +684,14 @@ def _whole_rays(D, spec, x):
     reach = s - proj
     Y = x + reach[:, None] * omega
     return omega, w, reach, s, Y, (Y - D.center) / D.radius
+
+
+def _normal_flux(nu, X, kernel):
+    """sum_{j,i} nu_j X_i c[j, i] / Vol(B_n) at each node (N, dim), one
+    outer product per node: the oracle of the factored flux."""
+    n = kernel.n
+    coupling = kernel.c.reshape(n * n, -1) / ball_volume(n)
+    return (nu[:, :, None] * X[:, None, :]).reshape(len(nu), n * n) @ coupling
 
 
 @pytest.mark.parametrize("name,nodes", [
@@ -795,6 +825,18 @@ def test_derivative_flux_matches_b_form(case):
     r, omega = _rays(X)
     Z = n * omega[:, i, None] * omega - np.eye(n)[i]
     _close(_normal_flux(nu, Z, K) / r[:, None] ** n, ref)
+    # the factored flux P @ Q: the nodes lie on the unit sphere around 0, seen
+    # from the pole y - X, so each is omega = cos a + sin h along its own
+    # h orthogonal to the axis a, with y = alpha a + beta h
+    a = nu[0] - X[0]
+    a /= np.linalg.norm(a)
+    cos = omega @ a
+    h = omega - cos[:, None] * a
+    sin = np.linalg.norm(h, axis=1)
+    h /= sin[:, None]
+    P = _flux_rows(nu @ a, np.sum(nu * h, axis=1), cos, sin)
+    Q = _flux_directions(h.T, a, i, K.c / ball_volume(n)).reshape(8, len(h), -1)
+    _close(np.einsum("tq,qtd->td", P, Q) / r[:, None] ** n, ref)
 
 
 # -- a non-associative kernel reproduces the solutions of its coupling ---------
