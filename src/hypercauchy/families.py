@@ -221,8 +221,3 @@ def gallery() -> list[GalleryCase]:
                     lambda: induced_conditions(dbar_conditions(), 2), True),
     ]
 
-
-def commutative_gallery() -> list[GalleryCase]:
-    """Gallery cases whose algebra is commutative (and associative)."""
-    return [case for case in gallery()
-            if (table := case.build().table).commutative and table.associative]

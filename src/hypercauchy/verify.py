@@ -419,8 +419,9 @@ def _check_is_solution(f, kernel: CauchyKernel, x: np.ndarray,
                        domain: BallDomain) -> None:
     """Refuse f unless it solves the coupling conditions near x.
 
-    The defect is scaled by n, since n c has e_0 on its diagonal.  Values or
-    defects that are not finite are refused by name first, computed under
+    The defect is scaled by n, since n c has e_0 on its diagonal.  Values of
+    f that are not finite, and defects that are not finite or whose norm
+    overflows, are refused by name first, computed under
     np.errstate(over="ignore", invalid="ignore") so that no numpy warning
     comes before the refusal.
     """
@@ -431,8 +432,12 @@ def _check_is_solution(f, kernel: CauchyKernel, x: np.ndarray,
         peak = float(np.max(np.abs(_eval_function(f, pts, kernel.table.dim))))
         values = condition_values(kernel.coupling_conditions, f, pts)
         worst = kernel.n * float(np.max(np.linalg.norm(values, axis=2)))
-    if not math.isfinite(peak + worst):  # np.max keeps NaN, max(1.0, nan) would not
+    # np.max keeps NaN, where max(1.0, nan) would not
+    if not (math.isfinite(peak) and np.isfinite(values).all()):
         raise ValueError(f"f or df/dy is not finite near x = {x.tolist()}")
+    if not math.isfinite(worst):
+        raise ValueError(f"f is too large near x = {x.tolist()}: the norm of its "
+                         "coupling-condition defect overflows")
     if worst > 1e-4 * max(1.0, peak):
         raise ValueError(
             f"f violates the Cauchy conditions near x in their coupling form "
@@ -544,23 +549,32 @@ def _reproduction_report(f, x, kernel, spec, term,
     term(spec) returns the quadrature value and its node count; with
     target_error set (it must be positive), term is rerun on the partner
     rule, of half the nodes (double when half is below MIN_NODES), and
-    QuadratureUnderResolved is raised when the two differ by more.
+    QuadratureUnderResolved is raised when the two differ by more.  f(x) is
+    read as the node values are, so a value that is not finite is refused
+    by name.  The sums run under np.errstate(over="ignore",
+    invalid="ignore"), and f is refused as too large where a reported norm
+    or the error estimate is not finite.
     """
     if target_error is not None and not (isinstance(target_error, numbers.Real)
                                          and target_error > 0):
         raise ValueError(f"target_error must be positive, got {target_error!r}")
-    acc, used = term(spec)
-    if target_error is not None:
-        half = spec.nodes // 2
-        partner, _ = term(QuadratureSpec(half if half >= MIN_NODES else 2 * spec.nodes))
-        estimate = float(np.linalg.norm(acc - partner))
-        if estimate > target_error:
-            raise QuadratureUnderResolved(
-                f"error estimate {estimate:.3e} exceeds target {target_error:.3e}"
-            )
-    expected = _eval_function(f, x[None, :], kernel.table.dim)[0]
-    abs_err = float(np.linalg.norm(acc - expected))
-    size = float(np.linalg.norm(expected))
+    estimate = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc, used = term(spec)
+        if target_error is not None:
+            half = spec.nodes // 2
+            partner, _ = term(QuadratureSpec(half if half >= MIN_NODES else 2 * spec.nodes))
+            estimate = float(np.linalg.norm(acc - partner))
+        expected = _node_values(f, x[None, :], kernel.table.dim, "f")[0]
+        abs_err = float(np.linalg.norm(acc - expected))
+        size = float(np.linalg.norm(expected))
+    if not (math.isfinite(abs_err) and math.isfinite(size) and math.isfinite(estimate)):
+        raise ValueError(f"f is too large near x = {x.tolist()}: a node sum or the "
+                         f"norm of f(x) or of the error overflows")
+    if target_error is not None and estimate > target_error:
+        raise QuadratureUnderResolved(
+            f"error estimate {estimate:.3e} exceeds target {target_error:.3e}"
+        )
     rel_err = abs_err / size if size > 0 else abs_err
     return ReproductionReport(
         computed=AlgElem(kernel.table, acc),
@@ -649,6 +663,7 @@ def verify_representation(
     return _reproduction_report(f, x, kernel, spec, term, target_error)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def derivative_via_kernel(
     f,
     x,
@@ -665,7 +680,9 @@ def derivative_via_kernel(
     M = R * integral of the spectral norm of right-multiplication by the
     contracted flux, which bounds |df| by M sup|f| / R.  That norm is |flux|
     when the table is norm_multiplicative and the largest singular value,
-    from eigvalsh of the Gram matrix at each node, otherwise.
+    from eigvalsh of the Gram matrix at each node, otherwise.  It runs under
+    np.errstate(over="ignore", invalid="ignore"), and f is refused as too
+    large where the value, the bound or sup |f| is not finite.
     """
     i = _as_integer(i, "derivative direction")
     if not 0 <= i < kernel.n:
@@ -720,7 +737,11 @@ def derivative_via_kernel(
     value = np.ravel(S) @ gamma.reshape(table.dim**2, table.dim)
     M = R * weighted_norms
     bound = weighted_norms * sup_f
-    holds = float(np.linalg.norm(value)) <= bound * (1.0 + 1e-8) + 1e-12
+    size = float(np.linalg.norm(value))
+    if not all(map(math.isfinite, (size, M, bound))):
+        raise ValueError(f"f is too large near x = {x.tolist()}: the derivative's "
+                         "value, its bound or sup |f| overflows")
+    holds = size <= bound * (1.0 + 1e-8) + 1e-12
     return DerivativeReport(
         value=AlgElem(table, value),
         estimate_check=holds,

@@ -16,9 +16,7 @@ from hypercauchy.kernel import (
     CauchyKernel,
     OnDiagonal,
     closedness_residual,
-    kernel_field,
     kernel_field_batch,
-    phi,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -26,51 +24,47 @@ ALPHA = 1.0 / (2.0 * np.pi**2)
 
 
 POINT_CALLS = pytest.mark.parametrize("call", [
-    lambda K, p, q: phi(K, 0, p, q),
-    kernel_field,
     lambda K, p, q: kernel_field_batch(K, p, q[None, :]),
     closedness_residual,
-], ids=["phi", "kernel_field", "kernel_field_batch", "closedness_residual"])
+], ids=["kernel_field_batch", "closedness_residual"])
 
 
 def _kernel(build):
     return CauchyKernel.from_conditions(build())
 
 
-def test_phi_vanishes_on_diagonal():
-    K = _kernel(dbar_conditions)
-    x = np.array([0.7, -0.3])
-    assert phi(K, 0, x, x).is_zero(tol=0.0)
+def _sedenion_kernel():
+    (case,) = [case for case in gallery() if case.name == "sedenion_single"]
+    return _kernel(case.build)
+
+
+def _field(K, x, y):
+    """The flux components at one point y: (n, dim)."""
+    return kernel_field_batch(K, x, np.asarray(y, dtype=float)[None, :])[0]
 
 
 def test_phi_complex_is_scaled_conjugate():
-    # phi(x, y) = conj(y - x) / (2 pi) as a complex number
+    # phi(x, y) = sum_i b[0, i] (y_i - x_i) = conj(y - x) / (2 pi) as a
+    # complex number: b[0] = (e_0, -e_1) / (2 pi)
     K = _kernel(dbar_conditions)
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        x, y = rng.normal(size=2), rng.normal(size=2)
-        p = phi(K, 0, x, y)
-        expected = np.array([y[0] - x[0], -(y[1] - x[1])]) / TWO_PI
-        np.testing.assert_allclose(p.coeffs, expected, atol=1e-14)
+    np.testing.assert_allclose(K.b[0], np.diag([1.0, -1.0]) / TWO_PI, atol=1e-14)
 
 
 def test_phi_fueter_form():
-    # phi = alpha * ((y0-x0) - i(y1-x1) - j(y2-x2) - k(y3-x3))
+    # phi = alpha * ((y0-x0) - i(y1-x1) - j(y2-x2) - k(y3-x3)):
+    # b[0] = alpha (e_0, -e_1, -e_2, -e_3)
     K = _kernel(fueter_conditions)
-    x = np.array([0.1, 0.2, -0.5, 0.4])
-    y = np.array([1.0, -1.0, 0.5, 2.0])
-    d = y - x
-    expected = ALPHA * np.array([d[0], -d[1], -d[2], -d[3]])
-    np.testing.assert_allclose(phi(K, 0, x, y).coeffs, expected, atol=1e-14)
+    np.testing.assert_allclose(K.b[0], ALPHA * np.diag([1.0, -1.0, -1.0, -1.0]),
+                               atol=1e-14)
 
 
 def test_kernel_field_complex_frozen_value():
     # x=0, y=(1,0): Flux = (1/(2pi)) * (e_0, i), from the defining formula
     # with coefficients (e_0, i) and phi = conj(y-x)/(2pi)
     K = _kernel(dbar_conditions)
-    F = kernel_field(K, np.zeros(2), np.array([1.0, 0.0]))
-    np.testing.assert_allclose(F[0].coeffs, [1.0 / TWO_PI, 0.0], atol=1e-15)
-    np.testing.assert_allclose(F[1].coeffs, [0.0, 1.0 / TWO_PI], atol=1e-15)
+    F = _field(K, np.zeros(2), [1.0, 0.0])
+    np.testing.assert_allclose(F[0], [1.0 / TWO_PI, 0.0], atol=1e-15)
+    np.testing.assert_allclose(F[1], [0.0, 1.0 / TWO_PI], atol=1e-15)
 
 
 def test_kernel_field_reproduces_square_on_circle():
@@ -85,8 +79,8 @@ def test_kernel_field_reproduces_square_on_circle():
     for t in ts:
         y = np.array([np.cos(t), np.sin(t)])
         fv = np.array([y[0] ** 2 - y[1] ** 2, 2.0 * y[0] * y[1]])
-        F = kernel_field(K, w, y)
-        contracted = F[0].coeffs * y[0] + F[1].coeffs * y[1]
+        F = _field(K, w, y)
+        contracted = F[0] * y[0] + F[1] * y[1]
         acc += table.mul_coeffs(fv, contracted) * dt
     expected = np.array([w[0] ** 2 - w[1] ** 2, 2.0 * w[0] * w[1]])
     np.testing.assert_allclose(acc, expected, atol=1e-12)
@@ -94,10 +88,10 @@ def test_kernel_field_reproduces_square_on_circle():
 
 def test_kernel_field_fueter_axis_value_and_decay():
     K = _kernel(fueter_conditions)
-    F1 = kernel_field(K, np.zeros(4), np.array([1.0, 0, 0, 0]))
-    np.testing.assert_allclose(F1[0].coeffs, [ALPHA, 0, 0, 0], atol=1e-15)
-    F2 = kernel_field(K, np.zeros(4), np.array([2.0, 0, 0, 0]))
-    np.testing.assert_allclose(F2[0].coeffs, [ALPHA / 8.0, 0, 0, 0], atol=1e-15)
+    F1 = _field(K, np.zeros(4), [1.0, 0, 0, 0])
+    np.testing.assert_allclose(F1[0], [ALPHA, 0, 0, 0], atol=1e-15)
+    F2 = _field(K, np.zeros(4), [2.0, 0, 0, 0])
+    np.testing.assert_allclose(F2[0], [ALPHA / 8.0, 0, 0, 0], atol=1e-15)
 
 
 @pytest.mark.parametrize("build,n", [(dbar_conditions, 2), (fueter_conditions, 4)])
@@ -108,10 +102,7 @@ def test_homogeneity_loglog_slope(build, n):
     u = rng.normal(size=n)
     u /= np.linalg.norm(u)
     ts = np.geomspace(0.25, 4.0, 9)
-    norms = []
-    for t in ts:
-        F = kernel_field(K, x, x + t * u)
-        norms.append(np.linalg.norm(np.concatenate([f.coeffs for f in F])))
+    norms = [np.linalg.norm(_field(K, x, x + t * u)) for t in ts]
     slope = np.polyfit(np.log(ts), np.log(norms), 1)[0]
     assert abs(slope - (1 - n)) < 1e-6
 
@@ -120,10 +111,7 @@ def test_translation_invariance():
     K = _kernel(fueter_conditions)
     rng = np.random.default_rng(5)
     x, y, s = rng.normal(size=4), rng.normal(size=4), rng.normal(size=4)
-    base = kernel_field(K, x, y)
-    shifted = kernel_field(K, x + s, y + s)
-    for fb, fs in zip(base, shifted):
-        np.testing.assert_allclose(fs.coeffs, fb.coeffs, atol=1e-12)
+    np.testing.assert_allclose(_field(K, x + s, y + s), _field(K, x, y), atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -134,33 +122,68 @@ def test_swap_negates_field(build):
     n = K.n
     rng = np.random.default_rng(7)
     x, y = rng.normal(size=n), rng.normal(size=n)
-    fwd = kernel_field(K, x, y)
-    bwd = kernel_field(K, y, x)
-    for ff, fb in zip(fwd, bwd):
-        np.testing.assert_allclose(fb.coeffs, -ff.coeffs, atol=1e-13)
+    np.testing.assert_allclose(_field(K, y, x), -_field(K, x, y), atol=1e-13)
 
 
 def test_on_diagonal_raises():
     K = _kernel(dbar_conditions)
     x = np.array([0.4, 0.4])
     with pytest.raises(OnDiagonal):
-        kernel_field(K, x, x.copy())
+        _field(K, x, x.copy())
     with pytest.raises(OnDiagonal):
         closedness_residual(K, x, x.copy())
-    with pytest.raises(OnDiagonal):
+    with pytest.raises(OnDiagonal, match="batch point 1"):
         kernel_field_batch(K, x, np.stack([x + 1.0, x]))
 
 
-def test_kernel_field_batch_matches_pointwise():
-    K = _kernel(fueter_conditions)
-    rng = np.random.default_rng(13)
-    x = rng.normal(size=4)
-    Y = rng.normal(size=(25, 4))
-    batch = kernel_field_batch(K, x, Y)
-    for t in range(25):
-        single = kernel_field(K, x, Y[t])
-        for j in range(4):
-            np.testing.assert_allclose(batch[t, j], single[j].coeffs, atol=1e-14)
+@pytest.mark.filterwarnings("error")  # refused by name, with no numpy warning first
+@pytest.mark.parametrize("separation", [1e-20, 1e-25])
+def test_batch_point_below_the_relative_floor_is_on_diagonal(separation):
+    # 1e-15 (1 + |x| + |y|) floors the separation: below it the flux at
+    # n = 16 nears the top of the floats or divides by zero
+    K = _sedenion_kernel()
+    x = np.zeros(16)
+    Y = np.stack([x + np.eye(16)[1], x + separation * np.eye(16)[0]])
+    with pytest.raises(OnDiagonal, match="batch point 1"):
+        kernel_field_batch(K, x, Y)
+
+
+@pytest.mark.filterwarnings("error")
+def test_far_batch_points_give_the_float_value_of_the_flux():
+    # r^16 overflows from r ~ 1e19 on; the flux, r^-15 times the flux at
+    # r = 1, is a normal float at 1e20 and underflows to 0 at 1e150 and 1e200
+    K = _sedenion_kernel()
+    x, u = np.full(16, 0.1), np.eye(16)[0]
+    unit = _field(K, x, x + u)
+    np.testing.assert_allclose(_field(K, x, x + 1e20 * u), unit * 1e-300, rtol=1e-13)
+    assert np.abs(unit).max() * 1e-300 > 0.0
+    for t in (1e150, 1e200):
+        assert not _field(K, x, x + t * u).any()
+    # at n = 2 the flux decays as 1 / r: at 1e200 it is 1e-200 / (2 pi), not 0
+    Kc = _kernel(dbar_conditions)
+    F = _field(Kc, np.zeros(2), [1e200, 0.0])
+    np.testing.assert_allclose(F, np.eye(2) / (TWO_PI * 1e200), rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_batch_point_whose_flux_is_not_a_float_refused_by_name():
+    # y - x overflows: its length 2e308 is not a float
+    K = _kernel(dbar_conditions)
+    with pytest.raises(ValueError, match=r"flux at batch point 1 .*separation inf"):
+        kernel_field_batch(K, [-1e308, 0.0], [[0.0, 0.0], [1e308, 0.0]])
+
+
+@pytest.mark.filterwarnings("error")
+def test_closedness_residual_of_a_pair_too_far_apart_refused_by_name():
+    K = _sedenion_kernel()
+    x = np.zeros(16)
+    assert closedness_residual(K, x, x + 1e150) <= 1e-12
+    e0 = np.eye(16)[0]
+    # neither pair is on the diagonal: the separation 4e200 is a float and
+    # its square is not; 2e308 is not a float either
+    for p, q in ((x, x + 1e200), (-1e308 * e0, 1e308 * e0)):
+        with pytest.raises(ValueError, match="too far apart for the closedness residual"):
+            closedness_residual(K, p, q)
 
 
 def test_closedness_identity_across_gallery():
@@ -217,13 +240,6 @@ def test_non_finite_point_rejected_by_name(call, bad):
         call(K, good, broken)
 
 
-@pytest.mark.parametrize("m", [1, 5, -1, 0.5, "0"])
-def test_phi_form_index_rejected_by_name(m):
-    K = _kernel(fueter_conditions)  # q = 1: the only form is m = 0
-    with pytest.raises(ValueError, match="form index m must be"):
-        phi(K, m, np.zeros(4), np.ones(4))
-
-
 def test_kernel_weights_of_wrong_size_rejected():
     C = dbar_conditions()
     with pytest.raises(ValueError, match="kernel weights b have 3 entries"):
@@ -266,6 +282,5 @@ def test_homogeneity_pointwise_property(t, seed):
     x = rng.normal(size=2)
     u = rng.normal(size=2)
     u /= np.linalg.norm(u)
-    base = np.concatenate([f.coeffs for f in kernel_field(K, x, x + u)])
-    scaled = np.concatenate([f.coeffs for f in kernel_field(K, x, x + t * u)])
+    base, scaled = _field(K, x, x + u), _field(K, x, x + t * u)
     np.testing.assert_allclose(scaled, base * t ** (1 - 2), rtol=1e-10, atol=1e-12)

@@ -534,6 +534,13 @@ def _nan_beyond(f, radius):
     return g
 
 
+def _nan_at(f, point):
+    """f as a plain callable, NaN at point alone."""
+    def g(y):
+        return np.full(f.table.dim, np.nan) if np.array_equal(y, point) else f.evaluate(y)
+    return g
+
+
 @pytest.mark.parametrize("entry", ["boundary", "representation", "derivative"])
 @pytest.mark.parametrize("build,radius,message", [
     (lambda table: (lambda y: np.ones(3)), 1.0,
@@ -541,10 +548,12 @@ def _nan_beyond(f, radius):
     (lambda table: (lambda y: np.full(4, np.nan)), 1.0, "f (or df/dy )?is not finite"),
     # NaN on the sphere only: the check near x passes and the node sums meet it
     (lambda table: _nan_beyond(_zeta1(), 0.9), 1.0, "f is not finite at y"),
+    # NaN at x alone, which no node sum meets
+    (lambda table: _nan_at(_zeta1(), np.full(4, 0.1)), 1.0, "f (or df/dy )?is not finite"),
     # a Fueter-regular cubic overflows on a ball of radius 1e150
     (lambda table: polynomial_solution_basis(fueter_conditions(), 3).basis[-1], 1e150,
      "f (or df/dy )?is not finite"),
-], ids=["short", "nan", "nan-on-the-sphere", "overflow"])
+], ids=["short", "nan", "nan-on-the-sphere", "nan-at-x", "overflow"])
 @pytest.mark.filterwarnings("error")  # refused by name, with no numpy warning first
 def test_bad_function_values_refused_by_name(entry, build, radius, message):
     K = _fueter_kernel()
@@ -577,6 +586,38 @@ def test_non_finite_derivative_values_refused_by_name():
 
     with pytest.raises(ValueError, match="df/dy is not finite at y"):
         _volume_term(g, np.zeros(2), D, K, QuadratureSpec(nodes=8))
+
+
+@pytest.mark.filterwarnings("error")  # refused by name, with no numpy warning first
+@pytest.mark.parametrize("entry", ["boundary", "representation", "derivative"])
+@pytest.mark.parametrize("scale", [1e150, 1e155, 1e170, 1e200, 1e300, 1.7e308])
+def test_large_finite_function_verified_or_refused_as_too_large(entry, scale):
+    # scale * zeta1 is finite on the ball, but from 1e155 on the norm of
+    # f(x), a node sum or the norm of the condition defect overflows: a
+    # reported number would be wrong, so the only other outcome is a refusal
+    K, f = _fueter_kernel(), scale * _zeta1()
+    D, spec = BallDomain(np.zeros(4), 1.0), QuadratureSpec(nodes=16)
+    x = np.array([0.1, 0.2, 0.0, 0.0])
+
+    def derivative_error():
+        rep = derivative_via_kernel(f, x, 1, D, K, spec)
+        assert rep.estimate_check and np.isfinite(rep.sup_boundary)
+        return np.linalg.norm(rep.value.coeffs - [scale, 0.0, 0.0, 0.0]) / scale
+
+    call = {
+        "boundary": lambda: boundary_reproduce(f, x, D, K, spec).rel_error,
+        "representation": lambda: verify_representation(f, x, D, K, spec).rel_error,
+        "derivative": derivative_error,
+    }[entry]
+    if scale <= 1e150:
+        assert call() <= 1e-13
+        return
+    try:
+        rel = call()
+    except ValueError as refusal:
+        assert "too large" in str(refusal)
+    else:
+        assert rel <= 1e-13
 
 
 @pytest.mark.parametrize("bad", ["1e-3", [1e-3], 1e-3j], ids=["str", "list", "complex"])
