@@ -345,6 +345,14 @@ def anticommuting_single_condition(table: AlgebraTable) -> CRConditionSet:
                           name="anticommuting_single")
 
 
+def _check_count(name: str, count: int, entries: int) -> None:
+    """Refuse a count argument whose arrays need more than MAX_SYSTEM_ENTRIES
+    entries, by name, before anything is allocated."""
+    if entries > MAX_SYSTEM_ENTRIES:
+        raise SystemTooLarge(f"{name} = {count} needs {entries} entries; "
+                             f"the limit is {MAX_SYSTEM_ENTRIES}")
+
+
 def induced_conditions(conditions: CRConditionSet, copies: int) -> CRConditionSet:
     """Repeat the conditions on `copies` independent variable blocks.
 
@@ -356,6 +364,7 @@ def induced_conditions(conditions: CRConditionSet, copies: int) -> CRConditionSe
     if copies < 1:
         raise ValueError("copies must be >= 1")
     n, q, dim = conditions.n, conditions.q, conditions.table.dim
+    _check_count("copies", copies, q * n * dim * copies * copies)
     a = np.zeros((q * copies, n * copies, dim))
     for l in range(copies):
         a[l * q:(l + 1) * q, l * n:(l + 1) * n] = conditions.a
@@ -392,6 +401,9 @@ def check_ellipticity(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     conditions = kernel.conditions
+    # the sample points X and their symbols P_m(X)
+    _check_count("samples", samples,
+                 samples * max(conditions.n, conditions.q * conditions.table.dim))
     worst = kernel.condition_violation()
 
     rng = np.random.default_rng(_as_seed(seed))

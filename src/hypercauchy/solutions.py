@@ -408,8 +408,12 @@ class PolySolutionBasis:
         samples = _as_integer(samples, "samples")
         if samples < 1:
             raise ValueError("samples must be >= 1")
+        # the gradients at the points, and the condition values of the basis
+        n, q, dim = self.conditions.n, self.conditions.q, self.conditions.table.dim
+        admissibility._check_count("samples", samples,
+                                   samples * dim * max(n, q * len(self.basis)))
         rng = np.random.default_rng(_as_seed(seed))
-        pts = rng.normal(size=(samples, self.conditions.n))
+        pts = rng.normal(size=(samples, n))
         values = [condition_values(self.conditions, f, pts) for f in self.basis]
         return float(np.max(np.linalg.norm(values, axis=-1), initial=0.0))
 

@@ -255,41 +255,24 @@ def _gauss_legendre(k: int):
 
 
 @functools.lru_cache(maxsize=GAUSS_CACHE_SIZE)
-def _sphere_directions_gauss(n: int, k: int):
-    """Unit directions and weights of the product Gauss rule on the unit
-    (n-1)-sphere, sum(w) = its area.
-
-    Product Gauss-Legendre rule in hyperspherical angles: n - 2 polar angles
-    on [0, pi] and the azimuth on [0, 2 pi], all mapped from one k-node
-    factor.  Cosines, sines and weights are taken per axis (k values each)
-    and broadcast onto the grid in C order, the factors multiplied in axis
-    order.  The directions are stored coordinate by coordinate and returned
-    as an (N, n) view.
-    """
-    if n == 1:
+def _sphere_directions_gauss(m: int, k: int):
+    """Directions and weights of the product Gauss rule on the unit sphere
+    of R^m, m <= 3, sum(w) = its area, as an (N, m) view of coordinate-major
+    directions: +-1 of weight 1 at m = 1, k Gauss azimuths on [0, 2 pi] at
+    m = 2, and at m = 3 the k x k grid, in C order, of a polar angle on
+    [0, pi] and the azimuth, of weight w_polar w_azimuth sin(polar)."""
+    if m == 1:
         return _read_only(np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]))
     t, wt = _gauss_legendre(k)
-    half_pi = 0.5 * math.pi
-    axes = [(half_pi * t + half_pi, half_pi * wt)] * (n - 2)
-    axes.append((math.pi * t + math.pi, math.pi * wt))
-    factors = [[np.cos(theta), np.sin(theta), weights] for theta, weights in axes]
-
-    def on_axis(values, axis):
-        return values.reshape([k if a == axis else 1 for a in range(n - 1)])
-
-    w = np.ones(())
-    for axis, (_, _, weights) in enumerate(factors):
-        w = w * on_axis(weights, axis)
-    omega = np.empty([n] + [k] * (n - 1))
-    sin_prod = np.ones(())
-    for axis, (cos_theta, sin_theta, _) in enumerate(factors):
-        omega[axis] = sin_prod * on_axis(cos_theta, axis)
-        sin_prod = sin_prod * on_axis(sin_theta, axis)
-        # surface density: sin^{n-1-axis-1}(theta_axis) extra powers
-        if axis < n - 2:
-            w = w * on_axis(sin_theta ** (n - 2 - axis), axis)
-    omega[n - 1] = sin_prod
-    return _read_only(omega.reshape(n, -1).T, w.ravel())
+    azimuth, w = math.pi * t + math.pi, math.pi * wt
+    if m == 2:
+        return _read_only(np.stack([np.cos(azimuth), np.sin(azimuth)]).T, w)
+    polar = 0.5 * math.pi * t + 0.5 * math.pi
+    sin_polar = np.sin(polar)[:, None]
+    omega = np.stack(np.broadcast_arrays(np.cos(polar)[:, None], sin_polar * np.cos(azimuth),
+                                         sin_polar * np.sin(azimuth)))
+    w = (0.5 * math.pi * wt)[:, None] * w * sin_polar
+    return _read_only(omega.reshape(3, -1).T, w.ravel())
 
 
 @functools.lru_cache(maxsize=GAUSS_CACHE_SIZE)
@@ -392,6 +375,21 @@ def _node_values(f, Y: np.ndarray, dim: int, what: str) -> np.ndarray:
     return values
 
 
+def _norm(values: np.ndarray, axis=None):
+    """np.linalg.norm(values, axis=axis), and where that overflows while the
+    entries are finite, the norm of the entries scaled by the largest of
+    them, times it: bit-identical wherever the plain norm is finite, and
+    infinite only where the norm is above the float range.  Callers run it
+    under np.errstate(over="ignore")."""
+    norm = np.linalg.norm(values, axis=axis)
+    if np.isfinite(norm).all() or not np.isfinite(values).all():
+        return norm
+    big = np.max(np.abs(values), axis=axis, keepdims=True)
+    big = np.where(big > 0, big, 1.0)
+    scaled = np.linalg.norm(values / big, axis=axis) * big.squeeze(axis)
+    return np.where(np.isfinite(norm), norm, scaled)
+
+
 def _check_degree_around_axis(f, n: int, extra: int) -> None:
     """Above n = 4 refuse f unless the rule around the polar axis is exact
     for it (see the module docstring)."""
@@ -431,7 +429,7 @@ def _check_is_solution(f, kernel: CauchyKernel, x: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):
         peak = float(np.max(np.abs(_eval_function(f, pts, kernel.table.dim))))
         values = condition_values(kernel.coupling_conditions, f, pts)
-        worst = kernel.n * float(np.max(np.linalg.norm(values, axis=2)))
+        worst = kernel.n * float(np.max(_norm(values, axis=2)))
     # np.max keeps NaN, where max(1.0, nan) would not
     if not (math.isfinite(peak) and np.isfinite(values).all()):
         raise ValueError(f"f or df/dy is not finite near x = {x.tolist()}")
@@ -564,10 +562,10 @@ def _reproduction_report(f, x, kernel, spec, term,
         if target_error is not None:
             half = spec.nodes // 2
             partner, _ = term(QuadratureSpec(half if half >= MIN_NODES else 2 * spec.nodes))
-            estimate = float(np.linalg.norm(acc - partner))
+            estimate = float(_norm(acc - partner))
         expected = _node_values(f, x[None, :], kernel.table.dim, "f")[0]
-        abs_err = float(np.linalg.norm(acc - expected))
-        size = float(np.linalg.norm(expected))
+        abs_err = float(_norm(acc - expected))
+        size = float(_norm(expected))
     if not (math.isfinite(abs_err) and math.isfinite(size) and math.isfinite(estimate)):
         raise ValueError(f"f is too large near x = {x.tolist()}: a node sum or the "
                          f"norm of f(x) or of the error overflows")
@@ -732,12 +730,12 @@ def derivative_via_kernel(
             gram = np.swapaxes(right_mult, 1, 2) @ right_mult
             norms = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
         weighted_norms += float(np.sum(wd * norms))
-        sup_f = max(sup_f, float(np.max(np.linalg.norm(fv, axis=1))))
+        sup_f = max(sup_f, float(np.max(_norm(fv, axis=1))))
         used += len(wd)
     value = np.ravel(S) @ gamma.reshape(table.dim**2, table.dim)
     M = R * weighted_norms
     bound = weighted_norms * sup_f
-    size = float(np.linalg.norm(value))
+    size = float(_norm(value))
     if not all(map(math.isfinite, (size, M, bound))):
         raise ValueError(f"f is too large near x = {x.tolist()}: the derivative's "
                          "value, its bound or sup |f| overflows")

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypercauchy import admissibility
-from hypercauchy.algebra import AlgElem, ball_volume, builtin, try_invert
+from hypercauchy.algebra import AlgebraTable, AlgElem, ball_volume, builtin, try_invert
 from hypercauchy.admissibility import (
     BasisNotAnticommuting,
     CauchyKernel,
@@ -408,6 +408,32 @@ def test_count_arguments_must_be_integers(name, call):
         call()
 
 
+@pytest.mark.parametrize("name,call", [
+    ("samples", lambda: check_ellipticity(solve_admissibility(dbar_conditions()).kernel,
+                                          samples=10**12)),
+    ("copies", lambda: induced_conditions(fueter_conditions(), copies=10**6)),
+    ("copies", lambda: induced_conditions(fueter_conditions(), copies=3000)),
+    ("samples", lambda: polynomial_solution_basis(dbar_conditions(), 1).max_violation(
+        samples=10**12)),
+], ids=["ellipticity_samples", "copies", "copies_3000", "basis_samples"])
+def test_counts_too_large_to_allocate_refused_by_name(name, call):
+    # numpy raised a raw MemoryError (TiB), or allocated 1.15 GB for 3000 copies
+    with pytest.raises(SystemTooLarge, match=rf"^{name} = \d+ needs \d+ entries; "
+                                             rf"the limit is {admissibility.MAX_SYSTEM_ENTRIES}$"):
+        call()
+
+
+def test_induced_copies_bounded_by_coefficient_array(monkeypatch):
+    # Fueter has q = 1, n = 4, dim = 4: two copies hold a 2 x 8 x 4 array
+    C = fueter_conditions()
+    monkeypatch.setattr(admissibility, "MAX_SYSTEM_ENTRIES", 64)
+    assert induced_conditions(C, 2).a.size == 64
+    monkeypatch.setattr(admissibility, "MAX_SYSTEM_ENTRIES", 63)
+    monkeypatch.setattr(np, "zeros", None)  # nothing is allocated first
+    with pytest.raises(SystemTooLarge, match="^copies = 2 needs 64 entries; the limit is 63$"):
+        induced_conditions(C, 2)
+
+
 def test_principal_rows_not_iterable_named():
     cond = a_differentiable_conditions(builtin("tessarine"))
     with pytest.raises(ValueError, match=r"^principal_rows must be 3 distinct indices"):
@@ -555,6 +581,52 @@ def test_infeasibility_invariant_under_relabeling(perm):
     a = base.a[:, list(perm)]
     rep = solve_admissibility(CRConditionSet(base.table, 4, 1, a))
     assert not rep.feasible
+
+
+# -- invariances of the verdict -------------------------------------------------
+
+
+@pytest.mark.parametrize("case", gallery(), ids=lambda case: case.name)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_verdict_invariant_under_orthogonal_change_of_variables(case, seed):
+    # x = O x' turns df/dx'_j into sum_k O[k, j] df/dx_k
+    C = case.build()
+    O = np.linalg.qr(np.random.default_rng(seed).standard_normal((C.n, C.n)))[0]
+    moved = CRConditionSet(C.table, C.n, C.q, np.einsum("kj,mks->mjs", O, C.a))
+    assert solve_admissibility(moved).feasible == case.expected_feasible
+
+
+@pytest.mark.parametrize("case", gallery(), ids=lambda case: case.name)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_verdict_invariant_under_change_of_algebra_basis(case, seed):
+    # the basis e'_i = sum_k T[k, i] e_k keeps e'_0 = e_0, so kappa e_0 is kept
+    C = case.build()
+    dim = C.table.dim
+    T = np.eye(dim) + 0.5 * np.random.default_rng(seed).standard_normal((dim, dim))
+    T[:, 0] = np.eye(dim)[0]
+    T_inv = np.linalg.inv(T)
+    gamma = np.einsum("ki,lj,klm,pm->ijp", T, T, C.table.gamma, T_inv)
+    moved = CRConditionSet(AlgebraTable(gamma), C.n, C.q, C.a @ T_inv.T)
+    assert solve_admissibility(moved).feasible == case.expected_feasible
+
+
+@pytest.mark.parametrize("eps,verdict", [(1e-12, True), (1e-9, IllConditioned),
+                                         (1e-7, IllConditioned), (1e-5, False)])
+def test_ill_conditioned_band_of_perturbed_fueter(eps, verdict):
+    # the residual is about 1.7 eps: feasible below tol = 1e-9, infeasible
+    # above the ceiling 1e-6, and refused as ill-conditioned in between
+    C = fueter_conditions()
+    a = C.a + eps * np.random.default_rng(0).standard_normal(C.a.shape)
+    perturbed = CRConditionSet(C.table, C.n, C.q, a)
+    if verdict is IllConditioned:
+        with pytest.raises(IllConditioned) as exc:
+            solve_admissibility(perturbed)
+        residual = exc.value.residual
+    else:
+        rep = solve_admissibility(perturbed)
+        assert rep.feasible == verdict
+        residual = rep.residual
+    assert eps < residual < 2 * eps
 
 
 # -- parity with the per-pair assembly loop -------------------------------------
