@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -233,7 +233,7 @@ def _constraint_rows(coupling: np.ndarray) -> np.ndarray:
     of _diagonal_coupling(n, dim, 1/n).
     """
     var = np.arange(coupling.shape[0])
-    i, j = np.nonzero(var[:, None] <= var)
+    i, j = np.triu_indices(len(var))
     rows = coupling[j, i] + coupling[i, j]
     rows[i == j] = coupling[var, var]
     return rows
@@ -250,26 +250,24 @@ def assemble_system(conditions: CRConditionSet) -> tuple[np.ndarray, np.ndarray]
     """Real linear system A x = r for the flattened kernel weights.
 
     Unknown layout: x[(m*n + i)*dim + s] is component s of b[m, i].
-    Rows are the _constraint_rows of c / Vol(B_n), dim per variable pair.
-    Column block k (the weights b[:, k]) is built from the coupling that
-    b[:, k] alone produces, c[j, k] / Vol = sum_m a[m, j] * b[m, k]; r is
-    the rows of the target coupling kappa e_0 on the diagonal.  Raises
-    SystemTooLarge before anything is allocated.
+    Rows are the _constraint_rows of c / Vol(B_n), dim per variable pair
+    (i, j), i <= j: c[j, i] / Vol = sum_m a[m, j] * b[m, i] reads b[:, i],
+    and off the diagonal c[i, j] / Vol reads b[:, j].  r is the rows of the
+    target coupling kappa e_0 on the diagonal.  Raises SystemTooLarge before
+    anything is allocated.
     """
     rows, cols = conditions.equation_count(), conditions.unknown_count()
     if rows * cols > MAX_SYSTEM_ENTRIES:
         raise SystemTooLarge(f"the admissibility system needs {rows} x {cols} = "
                              f"{rows * cols} entries; the limit is {MAX_SYSTEM_ENTRIES}")
-    table = conditions.table
-    n, q, dim = conditions.n, conditions.q, table.dim
-    # left[j, :, m, :] is the matrix of b[m, k] -> a[m, j] * b[m, k]
-    left = np.array([[table.left_mult_matrix(conditions.a[m, j]) for m in range(q)]
-                     for j in range(n)]).transpose(0, 2, 1, 3)
-    A = np.zeros((conditions.equation_count(), q, n, dim))
-    for k in range(n):
-        coupling = np.zeros((n, n, dim, q, dim))
-        coupling[:, k] = left
-        A[:, :, k, :] += _constraint_rows(coupling).reshape(-1, q, dim)
+    n, q, dim = conditions.n, conditions.q, conditions.table.dim
+    # left[j, :, m, :] is the matrix of b[m, i] -> a[m, j] * b[m, i]
+    left = conditions.table.left_mult_matrix(conditions.a.swapaxes(0, 1)).swapaxes(1, 2)
+    i, j = np.triu_indices(n)
+    pair, off = np.arange(len(i)), i < j
+    A = np.zeros((len(i), dim, q, n, dim))
+    A[pair, :, :, i] += left[j]
+    A[pair[off], :, :, j[off]] += left[i[off]]
     r = _constraint_rows(_diagonal_coupling(n, dim, conditions.normalization))
     return A.reshape(r.size, -1), r.ravel()
 
@@ -287,7 +285,11 @@ def solve_admissibility(
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-    A, r = assemble_system(conditions)
+    # the constraints are bilinear in a and b, so a / sigma has the weights
+    # sigma b; sigma is the power of two with max |a| / sigma in [1, 2), which
+    # keeps the row norms in range and, short of over- or underflow, every bit
+    sigma = np.ldexp(1.0, np.frexp(np.max(np.abs(conditions.a)))[1] - 1)
+    A, r = assemble_system(replace(conditions, a=conditions.a / sigma))
     row_norms = np.linalg.norm(A, axis=1)
     scale = np.where(row_norms > 1e-12, row_norms, 1.0)
     An = A / scale[:, None]
@@ -305,7 +307,7 @@ def solve_admissibility(
         raise IllConditioned(residual, tol, ILL_CONDITIONED_CEILING)
 
     feasible = residual <= tol
-    kernel = CauchyKernel(conditions, x) if feasible else None
+    kernel = CauchyKernel(conditions, x / sigma) if feasible else None
     return AdmissibilityReport(feasible=feasible, residual=residual,
                                free_dim=free_dim, kernel=kernel)
 

@@ -130,16 +130,18 @@ class AlgebraTable:
         return np.einsum("i,j,ijk->k", u, v, self.gamma)
 
     def left_mult_matrix(self, coeffs) -> np.ndarray:
-        """Matrix L with (a*x) = L @ x for a fixed a."""
+        """Matrix L with (a*x) = L @ x for a fixed a; a stack (..., dim) gives (..., dim, dim)."""
         a = np.asarray(coeffs, dtype=float)
         # (a*x)_k = sum_{i,j} a_i x_j gamma[i,j,k]
-        return np.tensordot(a, self.gamma, axes=(0, 0)).T
+        return (a[..., None, :] @ self.gamma.reshape(self.dim, -1)).reshape(
+            *a.shape, self.dim).swapaxes(-1, -2)
 
     def right_mult_matrix(self, coeffs) -> np.ndarray:
-        """Matrix R with (x*a) = R @ x for a fixed a."""
+        """Matrix R with (x*a) = R @ x for a fixed a; a stack (..., dim) gives (..., dim, dim)."""
         a = np.asarray(coeffs, dtype=float)
         # (x*a)_k = sum_{i,j} x_i a_j gamma[i,j,k]
-        return np.tensordot(self.gamma, a, axes=(1, 0)).T
+        return (self.gamma.transpose(0, 2, 1).reshape(-1, self.dim) @ a[..., None]).reshape(
+            *a.shape, self.dim).swapaxes(-1, -2)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, AlgebraTable) and np.array_equal(self.gamma, other.gamma)

@@ -373,17 +373,17 @@ def gradient_values(f, Y, dim: int) -> np.ndarray:
 def condition_values(conditions: CRConditionSet, f, Y) -> np.ndarray:
     """The q condition values sum_j (df/dy_j) * a[m, j] at each row of Y.
 
-    Returns (N, q, dim): the gradients times the (n dim, q dim) matrix
-    sum_d a[m, j, d] gamma[s, d, k], row (j, s) and column (m, k).
+    Returns (N, q, dim): the gradients times the (n dim, q dim) matrix of
+    right multiplications by a[m, j], row (j, s) and column (m, k).
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if Y.ndim != 2 or Y.shape[1] != conditions.n:
         raise ValueError(f"points have shape {Y.shape} but the conditions have "
                          f"{conditions.n} variables")
     n, q, dim = conditions.n, conditions.q, conditions.table.dim
-    A = np.einsum("mjd,sdk->jsmk", conditions.a, conditions.table.gamma)
+    R = conditions.table.right_mult_matrix(conditions.a.swapaxes(0, 1))  # R[j, m, k, s]
     G = gradient_values(f, Y, dim).reshape(len(Y), n * dim)
-    return (G @ A.reshape(n * dim, q * dim)).reshape(len(Y), q, dim)
+    return (G @ R.transpose(0, 3, 1, 2).reshape(n * dim, q * dim)).reshape(len(Y), q, dim)
 
 
 @dataclass(frozen=True)
@@ -513,8 +513,7 @@ def polynomial_solution_basis(
     exps = np.array(layout, dtype=int)
     k, j, lowered, alpha = _lowering(exps)
     t = np.array([row_of[e] for e in map(tuple, lowered)], dtype=int)
-    R = np.array([[table.right_mult_matrix(b) for b in a_j]
-                  for a_j in conditions.a.swapaxes(0, 1)])  # (n, q, dim, dim)
+    R = table.right_mult_matrix(conditions.a.swapaxes(0, 1))  # (n, q, dim, dim)
     # rows (m, target, dim), columns (monomial, dim); the targets of one
     # monomial differ in j, so every (t, k) block is written once
     A = np.zeros((q, len(row_of), dim, M, dim))

@@ -690,7 +690,6 @@ def derivative_via_kernel(
     _check_is_solution(f, kernel, x, domain)
 
     n, R, table = kernel.n, domain.radius, kernel.table
-    gamma = table.gamma
     a, h, w_eta, cos_theta, sin_theta, w_theta = _polar_rule(x, domain, spec)
     d = x - domain.center
     gap = R**2 - float(d @ d)
@@ -726,13 +725,13 @@ def derivative_via_kernel(
         if table.norm_multiplicative:
             norms = np.linalg.norm(flux, axis=1)
         else:
-            right_mult = np.einsum("ijk,tj->tki", gamma, flux)
+            right_mult = table.right_mult_matrix(flux)
             gram = np.swapaxes(right_mult, 1, 2) @ right_mult
             norms = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
         weighted_norms += float(np.sum(wd * norms))
         sup_f = max(sup_f, float(np.max(_norm(fv, axis=1))))
         used += len(wd)
-    value = np.ravel(S) @ gamma.reshape(table.dim**2, table.dim)
+    value = np.ravel(S) @ table.gamma.reshape(table.dim**2, table.dim)
     M = R * weighted_norms
     bound = weighted_norms * sup_f
     size = float(_norm(value))

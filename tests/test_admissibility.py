@@ -610,6 +610,35 @@ def test_verdict_invariant_under_change_of_algebra_basis(case, seed):
     assert solve_admissibility(moved).feasible == case.expected_feasible
 
 
+@pytest.mark.parametrize("case", gallery(), ids=lambda case: case.name)
+@pytest.mark.parametrize("scale", [1e-300, 1e150, 1e160, 1e200, 1e300, 1e307])
+def test_verdict_invariant_under_scaling_of_coefficients(case, scale):
+    # the constraints are bilinear in a and b: s a has the weights b / s and
+    # the same c; above 1e154 the unscaled row norms overflowed
+    C = case.build()
+    ref = solve_admissibility(C)
+    rep = solve_admissibility(CRConditionSet(C.table, C.n, C.q, scale * C.a))
+    assert (rep.feasible, rep.free_dim) == (ref.feasible, ref.free_dim)
+    if ref.feasible:
+        np.testing.assert_allclose(rep.kernel.c, ref.kernel.c, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("case", gallery(), ids=lambda case: case.name)
+@pytest.mark.parametrize("power", [-1000, 1000])
+def test_power_of_two_scaling_of_coefficients_changes_no_bit(case, power):
+    C = case.build()
+    ref = solve_admissibility(C)
+    rep = solve_admissibility(CRConditionSet(C.table, C.n, C.q, 2.0**power * C.a))
+    assert (rep.feasible, rep.residual, rep.free_dim) == (ref.feasible, ref.residual, ref.free_dim)
+
+
+@pytest.mark.parametrize("case", [c for c in gallery() if c.expected_feasible],
+                         ids=lambda case: case.name)
+def test_from_b_accepts_the_solver_weights(case):
+    K = solve_admissibility(case.build()).kernel
+    assert np.array_equal(CauchyKernel.from_b(K.conditions, K.b).c, K.c)
+
+
 @pytest.mark.parametrize("eps,verdict", [(1e-12, True), (1e-9, IllConditioned),
                                          (1e-7, IllConditioned), (1e-5, False)])
 def test_ill_conditioned_band_of_perturbed_fueter(eps, verdict):

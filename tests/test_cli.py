@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from hypercauchy import admissibility, cli
-from hypercauchy.admissibility import save_conditions
+from hypercauchy.admissibility import CRConditionSet, save_conditions
 from hypercauchy.algebra import builtin
 from hypercauchy.cli import main
 from hypercauchy.families import (
@@ -20,15 +20,18 @@ from hypercauchy.families import (
 )
 from hypercauchy.kernel import CauchyKernel
 from hypercauchy.solutions import polynomial_solution_basis
+from hypercauchy.suites import SUITE_NAMES
 
 ALPHA = 1.0 / (2.0 * np.pi**2)
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def _run_cli(args, **env):
-    """Run the CLI in a child process with extra environment variables."""
+    """Run the CLI in a child process with extra environment variables; a
+    RuntimeWarning is an error there, as in the test process."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    child_env = {**os.environ, "PYTHONPATH": path, **env}
+    child_env = {**os.environ, "PYTHONPATH": path,
+                 "PYTHONWARNINGS": "error::RuntimeWarning", **env}
     return subprocess.run([sys.executable, "-m", "hypercauchy.cli", *args],
                           capture_output=True, env=child_env, timeout=120)
 
@@ -106,6 +109,16 @@ def test_cr_solve_conditions_file_and_infeasible_exit(runner, tmp_path):
     assert report["residual"] > 1e-2
 
 
+def test_cr_solve_large_finite_coefficients_feasible(tmp_path):
+    # the row norms of the unscaled system overflowed, and the solve failed
+    C = cli._gallery_conditions("fueter")
+    path = tmp_path / "fueter_1e200.json"
+    save_conditions(CRConditionSet(C.table, C.n, C.q, 1e200 * C.a), path)
+    result = _run_cli(["cr-solve", str(path)])
+    assert result.returncode == 0, result.stderr.decode()
+    assert json.loads(result.stdout)["report"]["feasible"] is True
+
+
 def test_cr_solve_malformed_json_is_operational_error(runner, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -156,6 +169,16 @@ def test_reproduce_zeta1(runner):
     )
     assert result.exit_code == 0
     assert _json_payload(result)["report"]["rel_error"] < 1e-6
+
+
+def test_reproduce_named_function_through_a_conditions_file(runner, tmp_path):
+    path = tmp_path / "fueter.json"
+    save_conditions(cli._gallery_conditions("fueter"), path)
+    args = ["-f", "zeta1", "--point", "0.1,0.2,0,0", "--nodes", "16"]
+    from_file = runner.invoke(main, ["reproduce", str(path), *args])
+    from_gallery = runner.invoke(main, ["reproduce", "fueter", *args])
+    assert from_file.exit_code == 0 and from_gallery.exit_code == 0
+    assert _json_payload(from_file)["report"] == _json_payload(from_gallery)["report"]
 
 
 def test_reproduce_at_a_zero_of_f_reports_the_absolute_error(runner):
@@ -321,6 +344,16 @@ def test_suite_m2r_passes(runner):
     assert all(line.startswith("PASS") for line in payload["lines"])
 
 
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_suite_passes_and_repeats_byte_identical(runner, name):
+    first = runner.invoke(main, ["suite", name, "--seed", "0"])
+    cli._clear_memo()
+    second = runner.invoke(main, ["suite", name, "--seed", "0"])
+    assert first.exit_code == 0 and second.exit_code == 0
+    assert _json_payload(first)["report"]["passed"] is True
+    assert first.stdout_bytes == second.stdout_bytes
+
+
 def test_suite_unknown_name_rejected(runner):
     result = runner.invoke(main, ["suite", "everything"])
     assert result.exit_code != 0
@@ -444,6 +477,7 @@ def test_reproduce_gauss_axis_over_limit_fails(runner, monkeypatch):
 @pytest.mark.parametrize("args", [
     ["reproduce", "fueter", "-f", "zeta1", "--point", "0.1,0.2,0,0", "--nodes", "32"],
     ["cr-solve", "m2r_q3"],
+    ["suite", "dim3"],
     # n = 8 and 16: rows of 98 and 450 directions around the axis
     ["reproduce", "octonion_single", "-f", "const", "--point", "0.1,0,0,0,0,0,0,0",
      "--nodes", "2000"],
@@ -451,7 +485,7 @@ def test_reproduce_gauss_axis_over_limit_fails(runner, monkeypatch):
      "--nodes", "200"],
     ["reproduce", "sedenion_single", "-f", "zeta1",
      "--point", "0.1,0,0,0,0,0,0,0,0,0,0,0,0,0,0.05,0", "--nodes", "32"],
-], ids=["reproduce", "cr-solve", "reproduce-octonion", "reproduce-induced2",
+], ids=["reproduce", "cr-solve", "suite-dim3", "reproduce-octonion", "reproduce-induced2",
         "reproduce-sedenion"])
 def test_output_identical_across_blas_thread_counts(args):
     default = _run_cli(args)
