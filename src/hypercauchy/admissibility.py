@@ -12,14 +12,17 @@ kernel exists iff the bilinear constraints on kernel weights b[m, i],
     sum_m (a[m, j] * b[m, i] + a[m, i] * b[m, j]) = 0       (i != j)
 
 with kappa = 1/(n * Vol(B_n)), admit a solution; they are linear in b, so
-feasibility is decided by one least-squares solve.
+feasibility is decided by least squares, on the independent blocks of the
+system, with the blocks of one shape in one stacked SVD.
 """
 from __future__ import annotations
 
 import itertools
 import json
+import math
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -223,6 +226,15 @@ class AdmissibilityReport:
         }
 
 
+@lru_cache(maxsize=64)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The variable pairs i <= j of np.triu_indices(n), as read-only arrays."""
+    i, j = np.triu_indices(n)
+    i.setflags(write=False)
+    j.setflags(write=False)
+    return i, j
+
+
 def _constraint_rows(coupling: np.ndarray) -> np.ndarray:
     """The bilinear constraints' left-hand sides, read off a coupling.
 
@@ -233,7 +245,7 @@ def _constraint_rows(coupling: np.ndarray) -> np.ndarray:
     of _diagonal_coupling(n, dim, 1/n).
     """
     var = np.arange(coupling.shape[0])
-    i, j = np.triu_indices(len(var))
+    i, j = _pairs(len(var))
     rows = coupling[j, i] + coupling[i, j]
     rows[i == j] = coupling[var, var]
     return rows
@@ -263,13 +275,182 @@ def assemble_system(conditions: CRConditionSet) -> tuple[np.ndarray, np.ndarray]
     n, q, dim = conditions.n, conditions.q, conditions.table.dim
     # left[j, :, m, :] is the matrix of b[m, i] -> a[m, j] * b[m, i]
     left = conditions.table.left_mult_matrix(conditions.a.swapaxes(0, 1)).swapaxes(1, 2)
-    i, j = np.triu_indices(n)
+    i, j = _pairs(n)
     pair, off = np.arange(len(i)), i < j
     A = np.zeros((len(i), dim, q, n, dim))
     A[pair, :, :, i] += left[j]
     A[pair[off], :, :, j[off]] += left[i[off]]
-    r = _constraint_rows(_diagonal_coupling(n, dim, conditions.normalization))
+    r = np.zeros((len(i), dim))
+    r[i == j, 0] = conditions.normalization
     return A.reshape(r.size, -1), r.ravel()
+
+
+def _normalized_system(conditions: CRConditionSet
+                       ) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """sigma, the row-normalized system An x = rn of the conditions a / sigma,
+    and |rn|.
+
+    The constraints are bilinear in a and b, so a / sigma has the weights
+    sigma b; sigma is the power of two with max |a| / sigma in [1, 2), which
+    keeps the row norms in range and, short of over- or underflow, every bit.
+    Rows of norm at most 1e-12 are divided by the largest row norm, so that
+    scaling a scales rn alike in every row.
+    """
+    sigma = np.ldexp(1.0, np.frexp(np.abs(conditions.a).max())[1] - 1)
+    A, r = assemble_system(replace(conditions, a=conditions.a / sigma))
+    row_norms = np.sqrt(np.einsum("ij,ij->i", A, A))
+    largest = row_norms.max()
+    scale = np.where(row_norms > 1e-12, row_norms, largest if largest > 1e-12 else 1.0)
+    rn = r / scale
+    rhs_norm = math.sqrt(rn @ rn)
+    if rhs_norm == 0.0:
+        raise AdmissibilityError("normalized right-hand side vanished; conditions degenerate")
+    A /= scale[:, None]
+    return sigma, A, rn, rhs_norm
+
+
+def _independent_blocks(A: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The independent blocks of A, by shape: for each shape (m, n), the
+    (B, m) rows and (B, n) columns of its B blocks, each row sorted.
+
+    Two columns share a block when a row has non-zero entries in both, so
+    every non-zero entry lies in one block and A x = r splits into the
+    blocks' systems.  Rows with no non-zero entry lie in no block, and
+    neither do columns with none.  Each column takes the least label of the
+    columns it meets through a row until the labels settle; a label is then
+    the block's first column, and blocks come in the order of their labels.
+    """
+    rr, cc = (A != 0).nonzero()
+    if not rr.size:
+        return []
+    head = np.empty(rr.size, dtype=bool)  # the first entry of each non-zero row
+    head[0] = True
+    np.not_equal(rr[1:], rr[:-1], out=head[1:])
+    starts = head.nonzero()[0]
+    rows = rr[starts]
+    used = np.zeros(A.shape[1], dtype=bool)
+    used[cc] = True
+    cols = used.nonzero()[0]
+    row_label = np.minimum.reduceat(cc, starts)
+    owner, label = head.cumsum() - 1, np.arange(A.shape[1])
+    while row_label.any():
+        np.minimum.at(label, cc, row_label[owner])
+        label = label[label]
+        settled = np.minimum.reduceat(label[cc], starts)
+        if (settled == row_label).all():
+            break
+        row_label = settled
+    if not row_label.any():  # one block
+        return [(rows[None], cols[None])]
+    # sort the rows and the columns by block, then cut them block by block
+    col_label = label[cols]
+    rows = rows[row_label.argsort(kind="stable")]
+    cols = cols[col_label.argsort(kind="stable")]
+    row_count = np.unique(row_label, return_counts=True)[1]
+    col_count = np.unique(col_label, return_counts=True)[1]
+    row_start, col_start = row_count.cumsum() - row_count, col_count.cumsum() - col_count
+    by_shape = {}
+    for block, shape in enumerate(zip(row_count.tolist(), col_count.tolist())):
+        by_shape.setdefault(shape, []).append(block)
+    return [(rows[row_start[blocks, None] + np.arange(m)],
+             cols[col_start[blocks, None] + np.arange(n)])
+            for (m, n), blocks in by_shape.items()]
+
+
+class _BlockGroup:
+    """The blocks of one shape, from every system of a stack, decided in one
+    stacked SVD.  Each block is cut relative to sigma_max of its own system."""
+
+    def __init__(self):
+        self.M, self.r, self.count = [], [], 0
+
+    def add(self, M: np.ndarray, r: np.ndarray) -> slice:
+        """Append a (B, m, n) stack of blocks; return their places."""
+        self.M.append(M)
+        self.r.append(r)
+        self.count += len(M)
+        return slice(self.count - len(M), self.count)
+
+    def svd(self) -> None:
+        self.M = self.M[0] if len(self.M) == 1 else np.concatenate(self.M)
+        self.r = self.r[0] if len(self.r) == 1 else np.concatenate(self.r)
+        self.U, self.s, self.Vt = np.linalg.svd(self.M, full_matrices=False)
+        self.x_cut, self.rank_cut = np.empty((2, self.count, 1))
+
+    def solve(self) -> None:
+        """Each block's min-norm x, squared residual and rank."""
+        kept = np.where(self.s > self.x_cut, self.s, np.inf)
+        w = (self.r[:, None, :] @ self.U)[:, 0] / kept
+        self.x = (w[:, None, :] @ self.Vt)[:, 0]
+        res = (self.M @ self.x[:, :, None])[:, :, 0] - self.r
+        self.res_sq = np.einsum("km,km->k", res, res)
+        self.rank = (self.s > self.rank_cut).sum(axis=1)
+
+
+def _decide_stack(stack, tol: float = DEFAULT_TOL) -> list[AdmissibilityReport]:
+    """Decide kernel existence for every condition set of a stack.
+
+    Each system An x = rn (_normalized_system) splits into its independent
+    blocks; the blocks of one shape, over the whole stack, take one stacked
+    SVD.  A system's rank counts the singular values of all its blocks above
+    RANK_REL_SV * sigma_max, and its min-norm solution x keeps those above
+    eps * max(rows, cols) * sigma_max, the cut of min-norm least squares on
+    the whole system.  The squared residuals of the blocks and of the rows
+    in no block add up.  Raises, for the first system that fails, the error
+    that deciding the systems one at a time raises first.
+    """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    systems, groups = [], defaultdict(_BlockGroup)
+    for conditions in stack:
+        try:
+            sigma, An, rn, rhs_norm = _normalized_system(conditions)
+        except (SystemTooLarge, AdmissibilityError) as exc:
+            systems.append(exc)
+            continue
+        chunks = []  # (group, places in it, columns) of the blocks of one shape
+        for rows, cols in _independent_blocks(An):
+            if rows.shape == (1, An.shape[0]) and cols.shape == (1, An.shape[1]):
+                cols = slice(None)
+                M, r = An[None], rn[None]
+            else:
+                M, r = An[rows[:, :, None], cols[:, None, :]], rn[rows]
+            group = groups[M.shape[1:]]
+            chunks.append((group, group.add(M, r), cols))
+        idle = rn[~An.any(axis=1)]  # the rows in no block
+        systems.append((conditions, sigma, An.shape, idle @ idle, rhs_norm, chunks))
+
+    for group in groups.values():
+        group.svd()
+    for system in systems:
+        if not isinstance(system, Exception):
+            shape, chunks = system[2], system[5]
+            sigma_max = max((g.s[places, 0].max() for g, places, _ in chunks), default=0.0)
+            for group, places, _ in chunks:
+                group.x_cut[places] = np.finfo(float).eps * max(shape) * sigma_max
+                group.rank_cut[places] = RANK_REL_SV * sigma_max
+    for group in groups.values():
+        group.solve()
+
+    reports = []
+    for system in systems:
+        if isinstance(system, Exception):
+            raise system
+        conditions, sigma, shape, res_sq, rhs_norm, chunks = system
+        x, rank = np.zeros(shape[1]), 0
+        for group, places, cols in chunks:
+            x[cols] = group.x[places]
+            res_sq += group.res_sq[places].sum()
+            rank += int(group.rank[places].sum())
+        residual = float(np.sqrt(res_sq) / rhs_norm)
+        if tol < residual < ILL_CONDITIONED_CEILING:
+            raise IllConditioned(residual, tol, ILL_CONDITIONED_CEILING)
+        feasible = residual <= tol
+        kernel = CauchyKernel(conditions, x / sigma) if feasible else None
+        reports.append(AdmissibilityReport(feasible=feasible, residual=residual,
+                                           free_dim=conditions.unknown_count() - rank,
+                                           kernel=kernel))
+    return reports
 
 
 def solve_admissibility(
@@ -281,35 +462,9 @@ def solve_admissibility(
     Feasible iff the relative residual of the row-normalized system is <= tol
     (which must be positive).  Residuals between tol and
     ILL_CONDITIONED_CEILING raise IllConditioned rather than returning a
-    verdict.
+    verdict.  The decision is _decide_stack's on a stack of one.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    # the constraints are bilinear in a and b, so a / sigma has the weights
-    # sigma b; sigma is the power of two with max |a| / sigma in [1, 2), which
-    # keeps the row norms in range and, short of over- or underflow, every bit
-    sigma = np.ldexp(1.0, np.frexp(np.max(np.abs(conditions.a)))[1] - 1)
-    A, r = assemble_system(replace(conditions, a=conditions.a / sigma))
-    row_norms = np.linalg.norm(A, axis=1)
-    scale = np.where(row_norms > 1e-12, row_norms, 1.0)
-    An = A / scale[:, None]
-    rn = r / scale
-    rhs_norm = float(np.linalg.norm(rn))
-    if rhs_norm == 0.0:
-        raise AdmissibilityError("normalized right-hand side vanished; conditions degenerate")
-
-    x, _, _, sv = np.linalg.lstsq(An, rn, rcond=None)
-    rank = int(np.sum(sv > RANK_REL_SV * sv[0])) if sv.size else 0
-    free_dim = conditions.unknown_count() - rank
-    residual = float(np.linalg.norm(An @ x - rn) / rhs_norm)
-
-    if tol < residual < ILL_CONDITIONED_CEILING:
-        raise IllConditioned(residual, tol, ILL_CONDITIONED_CEILING)
-
-    feasible = residual <= tol
-    kernel = CauchyKernel(conditions, x / sigma) if feasible else None
-    return AdmissibilityReport(feasible=feasible, residual=residual,
-                               free_dim=free_dim, kernel=kernel)
+    return _decide_stack([conditions], tol)[0]
 
 
 # -- condition-set constructors ----------------------------------------------

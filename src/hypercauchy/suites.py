@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .admissibility import check_ellipticity, solve_admissibility
+from .admissibility import _decide_stack, check_ellipticity, solve_admissibility
 from .algebra import _as_seed, builtin
 from .families import (
     dim2_constructed_pair,
@@ -89,12 +89,13 @@ def run_dim3(seed: int = 0) -> SuiteResult:
     coefficients must all be infeasible with a clear residual margin."""
     result = SuiteResult("dim3", True)
     rng = np.random.default_rng(seed)
-    worst = np.inf
-    infeasible = 0
+    stack = []
     for k in range(DIM3_SAMPLES):
         table = sample_dim3_table(rng, commutative=(k % 2 == 0))
-        C = random_invertible_single_condition(table, 3, rng)
-        report = solve_admissibility(C)
+        stack.append(random_invertible_single_condition(table, 3, rng))
+    worst = np.inf
+    infeasible = 0
+    for report in _decide_stack(stack):
         if not report.feasible and report.residual > 1e-2:
             infeasible += 1
         worst = min(worst, report.residual)
@@ -108,39 +109,43 @@ def run_dim3(seed: int = 0) -> SuiteResult:
 
 def run_dim2sweep(seed: int = 0) -> SuiteResult:
     """Grid over dim-2 algebra parameters: a feasible invertible q=1 pair
-    exists iff b^2 + 4a < 0 (grid points near the parabola excluded)."""
+    exists iff b^2 + 4a < 0 (grid points near the parabola excluded).  Each
+    infeasible point tries three random draws, all decided in one stack with
+    the rest."""
     result = SuiteResult("dim2sweep", True)
     rng = np.random.default_rng(seed)
     grid = np.arange(-3.0, 3.0 + DIM2_GRID_STEP / 2, DIM2_GRID_STEP)
-    checked = mismatches = skipped = 0
+    points, stack = [], []  # points: (a, b, disc, expected, draws in the stack)
+    skipped = 0
     for a in grid:
         for b in grid:
             disc = b * b + 4 * a
             if abs(disc) < DIM2_PARABOLA_MARGIN:
                 skipped += 1
                 continue
-            checked += 1
             expected = dim2_expected_feasible(a, b)
             if expected:
-                ok = solve_admissibility(dim2_constructed_pair(a, b)).feasible
+                draws = [dim2_constructed_pair(a, b)]
             else:
                 table = builtin("dim2", a, b)
-                ok = any(
-                    solve_admissibility(
-                        random_invertible_single_condition(table, 2, rng)
-                    ).feasible
-                    for _ in range(3)
-                )
-            if ok != expected:
-                mismatches += 1
-                result.record(
-                    False,
-                    f"(a={a:+.2f}, b={b:+.2f}): feasible={ok} "
-                    f"expected={expected} (disc {disc:+.3f})",
-                )
+                draws = [random_invertible_single_condition(table, 2, rng) for _ in range(3)]
+            points.append((a, b, disc, expected, len(draws)))
+            stack += draws
+    reports = _decide_stack(stack)
+    mismatches = start = 0
+    for a, b, disc, expected, count in points:
+        ok = any(report.feasible for report in reports[start:start + count])
+        start += count
+        if ok != expected:
+            mismatches += 1
+            result.record(
+                False,
+                f"(a={a:+.2f}, b={b:+.2f}): feasible={ok} "
+                f"expected={expected} (disc {disc:+.3f})",
+            )
     result.record(
         mismatches == 0,
-        f"{checked} grid points agree with the sign of b^2+4a "
+        f"{len(points)} grid points agree with the sign of b^2+4a "
         f"({skipped} margin points excluded)",
     )
     return result

@@ -709,10 +709,11 @@ def derivative_via_kernel(
             directions = _flux_directions(h[:, cols], a, i, c)
             last = cols
         # f is evaluated on every node: sup_boundary is a maximum over them.
-        # Node-major (N, n), so p = omega . d and the points y are the same
+        # Node-major (N, n) in memory too (broadcasting from h.T can leave it
+        # coordinate-major), so p = omega . d and the points y are the same
         # products, to the last bit, as in a node-by-node sum over the rule
-        omega = (cos_theta[rows, None, None] * a
-                 + sin_theta[rows, None, None] * h.T[cols]).reshape(-1, n)
+        omega = np.ascontiguousarray((cos_theta[rows, None, None] * a
+                                      + sin_theta[rows, None, None] * h.T[cols]).reshape(-1, n))
         p = omega @ d
         Y = x[:, None] + (np.sqrt(p * p + gap) - p) * omega.T  # (n, N): coordinate-major
         flux = (rows_f[rows] @ directions).reshape(-1, table.dim)

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +12,7 @@ from hypothesis import strategies as st
 from hypercauchy import admissibility
 from hypercauchy.algebra import AlgebraTable, AlgElem, ball_volume, builtin, try_invert
 from hypercauchy.admissibility import (
+    AdmissibilityError,
     BasisNotAnticommuting,
     CauchyKernel,
     CRConditionSet,
@@ -731,3 +736,203 @@ def test_system_residual_is_the_constraint_rows_of_c(case):
     np.testing.assert_allclose(got, expected, rtol=1e-12,
                                atol=1e-12 * np.abs(expected).max())
     assert K.condition_violation() == pytest.approx(np.abs(got).max(), rel=1e-12)
+
+
+# -- the block decision against one least-squares solve of the whole system ------
+
+
+def _lstsq_decision(conditions):
+    """The decision the block decision replaced: one min-norm np.linalg.lstsq
+    on the whole row-normalized system, a zero row divided by the largest
+    row norm.  Returns (feasible, residual, free_dim, b), b None when
+    infeasible."""
+    a = conditions.a
+    sigma = np.ldexp(1.0, np.frexp(np.max(np.abs(a)))[1] - 1)
+    A, r = assemble_system(CRConditionSet(conditions.table, conditions.n, conditions.q, a / sigma))
+    row_norms = np.linalg.norm(A, axis=1)
+    largest = row_norms.max()
+    scale = np.where(row_norms > 1e-12, row_norms, largest if largest > 1e-12 else 1.0)
+    An, rn = A / scale[:, None], r / scale
+    x, _, _, sv = np.linalg.lstsq(An, rn, rcond=None)
+    rank = int(np.sum(sv > admissibility.RANK_REL_SV * sv[0])) if sv.size else 0
+    residual = float(np.linalg.norm(An @ x - rn) / np.linalg.norm(rn))
+    feasible = residual <= admissibility.DEFAULT_TOL
+    return feasible, residual, conditions.unknown_count() - rank, x / sigma if feasible else None
+
+
+def _assert_matches_lstsq(conditions, report):
+    feasible, residual, free_dim, b = _lstsq_decision(conditions)
+    assert (report.feasible, report.free_dim) == (feasible, free_dim)
+    # both residuals are relative to |rn|, so this is 1e-14 of |rn|
+    assert abs(report.residual - residual) <= 1e-14
+    if feasible:
+        ref = CauchyKernel(conditions, b)
+        for got, want in ((report.kernel.b, ref.b), (report.kernel.c, ref.c)):
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def _dim2_draws(count, seed):
+    rng = np.random.default_rng(seed)
+    return [random_invertible_single_condition(builtin("dim2", *rng.uniform(-3, 3, 2)), 2, rng)
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("case", gallery(), ids=lambda c: c.name)
+def test_block_decision_matches_lstsq_on_gallery(case):
+    C = case.build()
+    _assert_matches_lstsq(C, solve_admissibility(C))
+
+
+@pytest.mark.parametrize("delta", [1e-13, 1e-12, 1e-11])
+@pytest.mark.parametrize("base", [dbar_conditions, fueter_conditions], ids=["dbar", "fueter"])
+def test_rank_cut_between_the_cuts(base, delta):
+    # a second condition within delta of the first gives singular values of
+    # about delta sigma_max: below the rank cut, 1e-10 sigma_max, and above
+    # the cut of x, about 1e-14 sigma_max.  x along them is fixed only to
+    # eps / delta, so b is checked against the constraints, not the oracle.
+    C = base()
+    a1 = C.a[0] + delta * np.random.default_rng(1).standard_normal(C.a[0].shape)
+    doubled = CRConditionSet(C.table, C.n, 2, np.stack([C.a[0], a1]))
+    feasible, residual, free_dim, _ = _lstsq_decision(doubled)
+    rep = solve_admissibility(doubled)
+    # the rank is that of the first condition alone
+    expected_free = C.unknown_count() + solve_admissibility(C).free_dim
+    assert (rep.feasible, rep.free_dim) == (feasible, free_dim) == (True, expected_free)
+    assert abs(rep.residual - residual) <= 1e-14
+    assert rep.kernel.condition_violation() <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_block_decision_matches_lstsq_on_every_suite_system(monkeypatch, seed):
+    from hypercauchy import suites
+
+    decided = []
+
+    def recording(stack, tol=admissibility.DEFAULT_TOL):
+        reports = decide(stack, tol)
+        decided.extend(zip(stack, reports))
+        return reports
+
+    decide = admissibility._decide_stack
+    monkeypatch.setattr(admissibility, "_decide_stack", recording)
+    monkeypatch.setattr(suites, "_decide_stack", recording)
+    for name in suites.SUITE_NAMES:
+        assert run_suite(name, seed=seed).passed
+    assert len(decided) == 500  # 14 gallery, 100 dim3, 382 dim2sweep and 4 m2r systems
+    for C, report in decided:
+        _assert_matches_lstsq(C, report)
+
+
+def test_block_decision_matches_lstsq_on_random_draws():
+    draws = _dim3_draws(count=600, seed=11) + _dim2_draws(count=600, seed=12)
+    for C, report in zip(draws, admissibility._decide_stack(draws)):
+        _assert_matches_lstsq(C, report)
+
+
+@pytest.mark.parametrize("name,count", [
+    ("sedenion_single", 16), ("octonion_single", 8), ("fueter", 4), ("fueter_induced2", 12),
+    ("m2r_q3", 10), ("m2r_q1", 1), ("tessarine_q1_random", 1),
+])
+def test_independent_block_counts(name, count):
+    C = next(case for case in gallery() if case.name == name).build()
+    A = assemble_system(C)[0]
+    blocks = admissibility._independent_blocks(A)
+    assert sum(len(rows) for rows, _ in blocks) == count
+    # the blocks split the rows with a non-zero entry and the columns with one,
+    # and every non-zero entry lies in its block
+    rows = np.concatenate([r.ravel() for r, _ in blocks])
+    cols = np.concatenate([c.ravel() for _, c in blocks])
+    assert np.array_equal(np.sort(rows), np.flatnonzero(A.any(axis=1)))
+    assert np.array_equal(np.sort(cols), np.flatnonzero(A.any(axis=0)))
+    inside = sum(np.count_nonzero(A[r[:, :, None], c[:, None, :]]) for r, c in blocks)
+    assert inside == np.count_nonzero(A)
+
+
+def test_random_dim3_systems_are_one_block():
+    for C in _dim3_draws(count=20, seed=13):
+        (rows, cols), = admissibility._independent_blocks(assemble_system(C)[0])
+        assert rows.shape == (1, 18) and cols.shape == (1, 9)
+
+
+def test_stack_gives_the_bits_of_each_system_alone():
+    stack = [case.build() for case in gallery()] + _dim3_draws(count=30, seed=14) \
+        + _dim2_draws(count=30, seed=15)
+    order = np.random.default_rng(16).permutation(len(stack))
+    stack = [stack[k] for k in order]
+    for C, report in zip(stack, admissibility._decide_stack(stack)):
+        alone = solve_admissibility(C)
+        assert (report.feasible, report.residual, report.free_dim) == \
+            (alone.feasible, alone.residual, alone.free_dim)
+        if alone.feasible:
+            assert np.array_equal(report.kernel.b, alone.kernel.b)
+
+
+def test_empty_stack_decides_nothing():
+    assert admissibility._decide_stack([]) == []
+
+
+def _degenerate_conditions():
+    # structure constants near 1e300: every row norm overflows, so the
+    # normalized right-hand side vanishes
+    table = AlgebraTable(builtin("complex").gamma * 1e300)
+    return CRConditionSet(table, 2, 1, np.array([[[1.0, 0.0], [0.0, 1.0]]]))
+
+
+def _ill_conditioned_fueter():
+    C = fueter_conditions()
+    a = C.a + 1e-7 * np.random.default_rng(0).standard_normal(C.a.shape)
+    return CRConditionSet(C.table, C.n, C.q, a)
+
+
+@pytest.mark.parametrize("order,error", [
+    (("ill", "degenerate"), IllConditioned),
+    (("degenerate", "ill"), AdmissibilityError),
+    (("too_large", "ill", "degenerate"), SystemTooLarge),
+    (("ill", "too_large"), IllConditioned),
+])
+def test_stack_raises_what_the_loop_raises_first(monkeypatch, order, error):
+    monkeypatch.setattr(admissibility, "MAX_SYSTEM_ENTRIES", 40 * 16)
+    systems = {"ill": _ill_conditioned_fueter(), "degenerate": _degenerate_conditions(),
+               "too_large": induced_conditions(fueter_conditions(), 2)}
+    stack = [dbar_conditions()] + [systems[name] for name in order] + [fueter_conditions()]
+    for name, expected in (("ill", IllConditioned), ("degenerate", AdmissibilityError),
+                           ("too_large", SystemTooLarge)):
+        with pytest.raises(expected) as alone:
+            solve_admissibility(systems[name])
+        assert type(alone.value) is expected
+    with pytest.raises(error) as raised:
+        admissibility._decide_stack(stack)
+    assert type(raised.value) is error
+
+
+# -- the residual of an infeasible system does not depend on the scale of a ------
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-10, 0.7, 1.3, 3.0, 1e10, 1e300])
+@pytest.mark.parametrize("case", [c for c in gallery() if not c.expected_feasible],
+                         ids=lambda case: case.name)
+def test_infeasible_residual_invariant_under_scaling_of_coefficients(case, scale):
+    # a zero row of A is divided by the largest row norm, so s a scales rn by
+    # 1 / s in every row; adiff_dual has one zero row in six
+    C = case.build()
+    ref = solve_admissibility(C)
+    rep = solve_admissibility(CRConditionSet(C.table, C.n, C.q, scale * C.a))
+    assert not rep.feasible
+    assert rep.residual == pytest.approx(ref.residual, rel=1e-14)
+
+
+def test_adiff_dual_residual():
+    rep = solve_admissibility(next(c for c in gallery() if c.name == "adiff_dual").build())
+    assert rep.residual == pytest.approx(3**-0.5, rel=1e-14)
+
+
+def test_constraint_pairs_built_once_per_n_and_read_only():
+    # importing the package builds none
+    probe = "import hypercauchy.admissibility as a; print(a._pairs.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}, check=True)
+    assert out.stdout.strip() == "0"
+    i, j = admissibility._pairs(5)
+    assert admissibility._pairs(5)[0] is i
+    assert np.array_equal(i, np.triu_indices(5)[0]) and np.array_equal(j, np.triu_indices(5)[1])
+    assert not i.flags.writeable and not j.flags.writeable

@@ -485,8 +485,11 @@ def test_reproduce_gauss_axis_over_limit_fails(runner, monkeypatch):
      "--nodes", "200"],
     ["reproduce", "sedenion_single", "-f", "zeta1",
      "--point", "0.1,0,0,0,0,0,0,0,0,0,0,0,0,0,0.05,0", "--nodes", "32"],
+    # the largest admissibility system, and the largest stack of systems
+    ["cr-solve", "sedenion_single"],
+    ["suite", "dim2sweep"],
 ], ids=["reproduce", "cr-solve", "suite-dim3", "reproduce-octonion", "reproduce-induced2",
-        "reproduce-sedenion"])
+        "reproduce-sedenion", "cr-solve-sedenion", "suite-dim2sweep"])
 def test_output_identical_across_blas_thread_counts(args):
     default = _run_cli(args)
     single = _run_cli(args, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")

@@ -1054,6 +1054,8 @@ def _check_streamed_terms(n, k, seed, degree=3):
 @example(n=4, k=22, seed=3879967560, degree=3)
 @example(n=4, k=45, seed=4291447014, degree=3)
 @example(n=4, k=29, seed=3860900651, degree=3)
+# and here while omega, built from h.T by broadcasting, came out coordinate-major
+@example(n=4, k=46, seed=4, degree=2)
 def test_streamed_terms_match_whole_rule_sums(n, k, seed, degree):
     # 8..48 nodes per axis: rows of k^(n-2) nodes that mostly do not divide
     # CHUNK, so the last block is short; degrees 0..5 take 1, 2 and 3
