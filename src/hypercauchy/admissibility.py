@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -294,11 +293,15 @@ def _normalized_system(conditions: CRConditionSet
     sigma b; sigma is the power of two with max |a| / sigma in [1, 2), which
     keeps the row norms in range and, short of over- or underflow, every bit.
     Rows of norm at most 1e-12 are divided by the largest row norm, so that
-    scaling a scales rn alike in every row.
+    scaling a scales rn alike in every row.  Row norms that overflow (sigma
+    does not scale the table) are refused by name.
     """
     sigma = np.ldexp(1.0, np.frexp(np.abs(conditions.a).max())[1] - 1)
     A, r = assemble_system(replace(conditions, a=conditions.a / sigma))
     row_norms = np.sqrt(np.einsum("ij,ij->i", A, A))
+    if not np.isfinite(row_norms).all():
+        raise AdmissibilityError("the admissibility system's row norms overflow; "
+                                 "the structure constants are too large")
     largest = row_norms.max()
     scale = np.where(row_norms > 1e-12, row_norms, largest if largest > 1e-12 else 1.0)
     rn = r / scale
@@ -357,36 +360,6 @@ def _independent_blocks(A: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
             for (m, n), blocks in by_shape.items()]
 
 
-class _BlockGroup:
-    """The blocks of one shape, from every system of a stack, decided in one
-    stacked SVD.  Each block is cut relative to sigma_max of its own system."""
-
-    def __init__(self):
-        self.M, self.r, self.count = [], [], 0
-
-    def add(self, M: np.ndarray, r: np.ndarray) -> slice:
-        """Append a (B, m, n) stack of blocks; return their places."""
-        self.M.append(M)
-        self.r.append(r)
-        self.count += len(M)
-        return slice(self.count - len(M), self.count)
-
-    def svd(self) -> None:
-        self.M = self.M[0] if len(self.M) == 1 else np.concatenate(self.M)
-        self.r = self.r[0] if len(self.r) == 1 else np.concatenate(self.r)
-        self.U, self.s, self.Vt = np.linalg.svd(self.M, full_matrices=False)
-        self.x_cut, self.rank_cut = np.empty((2, self.count, 1))
-
-    def solve(self) -> None:
-        """Each block's min-norm x, squared residual and rank."""
-        kept = np.where(self.s > self.x_cut, self.s, np.inf)
-        w = (self.r[:, None, :] @ self.U)[:, 0] / kept
-        self.x = (w[:, None, :] @ self.Vt)[:, 0]
-        res = (self.M @ self.x[:, :, None])[:, :, 0] - self.r
-        self.res_sq = np.einsum("km,km->k", res, res)
-        self.rank = (self.s > self.rank_cut).sum(axis=1)
-
-
 def _decide_stack(stack, tol: float = DEFAULT_TOL) -> list[AdmissibilityReport]:
     """Decide kernel existence for every condition set of a stack.
 
@@ -401,55 +374,55 @@ def _decide_stack(stack, tol: float = DEFAULT_TOL) -> list[AdmissibilityReport]:
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-    systems, groups = [], defaultdict(_BlockGroup)
-    for conditions in stack:
+    systems, groups, width, error = [], {}, 0, None  # width: columns of the systems so far
+    for k, conditions in enumerate(stack):
         try:
             sigma, An, rn, rhs_norm = _normalized_system(conditions)
         except (SystemTooLarge, AdmissibilityError) as exc:
-            systems.append(exc)
-            continue
-        chunks = []  # (group, places in it, columns) of the blocks of one shape
+            if not systems:  # no system before it can raise first
+                raise
+            error = exc  # raised once the systems before it are decided
+            break
+        # per block shape, (owner, M, r, columns in the stack's x) of each block
         for rows, cols in _independent_blocks(An):
-            if rows.shape == (1, An.shape[0]) and cols.shape == (1, An.shape[1]):
-                cols = slice(None)
-                M, r = An[None], rn[None]
-            else:
-                M, r = An[rows[:, :, None], cols[:, None, :]], rn[rows]
-            group = groups[M.shape[1:]]
-            chunks.append((group, group.add(M, r), cols))
+            groups.setdefault((rows.shape[1], cols.shape[1]), []).append((
+                np.full(len(rows), k), An[rows[:, :, None], cols[:, None, :]],
+                rn[rows], width + cols))
         idle = rn[~An.any(axis=1)]  # the rows in no block
-        systems.append((conditions, sigma, An.shape, idle @ idle, rhs_norm, chunks))
+        systems.append((conditions, sigma, rhs_norm, slice(width, width + An.shape[1]),
+                        max(An.shape), idle @ idle))
+        width += An.shape[1]
 
-    for group in groups.values():
-        group.svd()
-    for system in systems:
-        if not isinstance(system, Exception):
-            shape, chunks = system[2], system[5]
-            sigma_max = max((g.s[places, 0].max() for g, places, _ in chunks), default=0.0)
-            for group, places, _ in chunks:
-                group.x_cut[places] = np.finfo(float).eps * max(shape) * sigma_max
-                group.rank_cut[places] = RANK_REL_SV * sigma_max
-    for group in groups.values():
-        group.solve()
+    size, res_sq = (np.array([system[i] for system in systems]) for i in (4, 5))
+    sigma_max, rank, x = np.zeros(len(systems)), np.zeros(len(systems), int), np.zeros(width)
+    solved = []
+    for entries in groups.values():
+        owner, M, r, cols = map(np.concatenate, zip(*entries))
+        U, s, Vt = np.linalg.svd(M, full_matrices=False)
+        np.maximum.at(sigma_max, owner, s[:, 0])
+        solved.append((owner, M, r, cols, U, s, Vt))
+    for owner, M, r, cols, U, s, Vt in solved:
+        top = sigma_max[owner, None]
+        kept = np.where(s > np.finfo(float).eps * size[owner, None] * top, s, np.inf)
+        w = (r[:, None, :] @ U)[:, 0] / kept
+        xb = (w[:, None, :] @ Vt)[:, 0]
+        res = (M @ xb[:, :, None])[:, :, 0] - r
+        x[cols] = xb
+        np.add.at(res_sq, owner, np.einsum("km,km->k", res, res))
+        np.add.at(rank, owner, (s > RANK_REL_SV * top).sum(axis=1))
 
     reports = []
-    for system in systems:
-        if isinstance(system, Exception):
-            raise system
-        conditions, sigma, shape, res_sq, rhs_norm, chunks = system
-        x, rank = np.zeros(shape[1]), 0
-        for group, places, cols in chunks:
-            x[cols] = group.x[places]
-            res_sq += group.res_sq[places].sum()
-            rank += int(group.rank[places].sum())
-        residual = float(np.sqrt(res_sq) / rhs_norm)
+    for k, (conditions, sigma, rhs_norm, columns, _, _) in enumerate(systems):
+        residual = float(np.sqrt(res_sq[k]) / rhs_norm)
         if tol < residual < ILL_CONDITIONED_CEILING:
             raise IllConditioned(residual, tol, ILL_CONDITIONED_CEILING)
         feasible = residual <= tol
-        kernel = CauchyKernel(conditions, x / sigma) if feasible else None
+        kernel = CauchyKernel(conditions, x[columns] / sigma) if feasible else None
         reports.append(AdmissibilityReport(feasible=feasible, residual=residual,
-                                           free_dim=conditions.unknown_count() - rank,
+                                           free_dim=conditions.unknown_count() - int(rank[k]),
                                            kernel=kernel))
+    if error is not None:
+        raise error
     return reports
 
 

@@ -490,6 +490,18 @@ def _flux_contraction(M: np.ndarray, kernel: CauchyKernel) -> np.ndarray:
     return S.ravel() @ kernel.table.gamma.reshape(dim * dim, dim) / ball_volume(n)
 
 
+def _ray_rows(x, domain, a, cos_theta, sin_theta):
+    """Per row of theta of the rule aligned with the pole x: s, the reach
+    s - p of its rays to the sphere (p = omega . d, h being orthogonal to
+    d = x - center) and alpha, beta with y - center = alpha a + beta h."""
+    d = x - domain.center
+    ad = float(a @ d)
+    p = cos_theta * ad
+    s = np.sqrt(p * p + (domain.radius**2 - float(d @ d)))
+    reach = s - p
+    return s, reach, ad + reach * cos_theta, reach * sin_theta
+
+
 def _summed_rows(f, domain, a, base, alpha, beta, u):
     """The rows the boundary sum evaluates f on: their points base (n, rows)
     on the axis, their reach beta along h and their weights u (4, rows).
@@ -519,12 +531,7 @@ def _boundary_term(f, x, domain, kernel, spec) -> tuple[np.ndarray, int]:
     evaluates f on."""
     a, h, w_eta, cos_theta, sin_theta, w_theta = _polar_rule(x, domain, spec)
     around, dim = h.shape[1], kernel.table.dim
-    d = x - domain.center
-    ad = float(a @ d)
-    p = cos_theta * ad  # omega . d: h is orthogonal to d
-    s = np.sqrt(p * p + (domain.radius**2 - float(d @ d)))
-    reach = s - p
-    alpha, beta = ad + reach * cos_theta, reach * sin_theta  # y - center = alpha a + beta h
+    s, reach, alpha, beta = _ray_rows(x, domain, a, cos_theta, sin_theta)
     u = (w_theta / s) * np.stack([cos_theta * alpha, cos_theta * beta,
                                   sin_theta * alpha, sin_theta * beta])
     base = x[:, None] + (reach * cos_theta) * a[:, None]  # (n, rows)
@@ -618,9 +625,7 @@ def _volume_term(f, x, domain, kernel, spec) -> tuple[np.ndarray, int]:
     # df(x + t reach omega) reach has degree p - 1 in t for a polynomial f of
     # degree p, which m = ceil(p / 2) Gauss points integrate exactly
     m = min(k, max(1, -(-f.degree // 2))) if isinstance(f, AlgPolynomial) else k
-    d = x - domain.center
-    p = cos_theta * float(a @ d)  # omega . d: h is orthogonal to d
-    reach = np.sqrt(p * p + (domain.radius**2 - float(d @ d))) - p
+    reach = _ray_rows(x, domain, a, cos_theta, sin_theta)[1]
     t, t_w = _gauss_legendre(m)
     r = np.outer(reach, 0.5 * (t + 1.0)).ravel()  # t reach on the rows (theta_r, t_q)
     cos_r, sin_r = np.repeat(cos_theta, m), np.repeat(sin_theta, m)
@@ -696,11 +701,8 @@ def derivative_via_kernel(
     # per row of theta, as in the boundary term: y - center = alpha a + beta h
     # and s; d/dx_i (X_k / r^n) = (n omega_i omega_k - delta_ik) / r^n, and
     # dS = reach^(n-1) R / s d omega leaves the weight w R / (s reach)
-    ad = float(a @ d)
-    s_row = np.sqrt((cos_theta * ad) ** 2 + gap)
-    reach_row = s_row - cos_theta * ad
-    rows_f = _flux_rows(ad + reach_row * cos_theta, reach_row * sin_theta,
-                        cos_theta, sin_theta)
+    s_row, reach_row, alpha, beta = _ray_rows(x, domain, a, cos_theta, sin_theta)
+    rows_f = _flux_rows(alpha, beta, cos_theta, sin_theta)
     w_row = w_theta * R / (s_row * reach_row)
     c = kernel.c / (ball_volume(n) * R)
     S, weighted_norms, sup_f, used, last = 0.0, 0.0, 0.0, 0, None

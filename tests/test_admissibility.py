@@ -872,8 +872,7 @@ def test_empty_stack_decides_nothing():
 
 
 def _degenerate_conditions():
-    # structure constants near 1e300: every row norm overflows, so the
-    # normalized right-hand side vanishes
+    # structure constants near 1e300: every row norm overflows
     table = AlgebraTable(builtin("complex").gamma * 1e300)
     return CRConditionSet(table, 2, 1, np.array([[[1.0, 0.0], [0.0, 1.0]]]))
 
@@ -903,6 +902,69 @@ def test_stack_raises_what_the_loop_raises_first(monkeypatch, order, error):
     with pytest.raises(error) as raised:
         admissibility._decide_stack(stack)
     assert type(raised.value) is error
+
+
+def test_overflowing_row_norms_refused_by_name():
+    # sigma scales a, not the table, so these row norms overflow
+    C = _degenerate_conditions()
+    for decide in (solve_admissibility,
+                   lambda C: admissibility._decide_stack([dbar_conditions(), C])):
+        with pytest.raises(AdmissibilityError, match="row norms overflow; the structure "
+                                                     "constants are too large") as raised:
+            decide(C)
+        assert type(raised.value) is AdmissibilityError
+
+
+def _zero_conditions(base):
+    C = base()
+    return CRConditionSet(C.table, C.n, C.q, np.zeros_like(C.a))
+
+
+def test_system_with_no_block_is_infeasible():
+    # a = 0: A has no non-zero entry, so the system has no block and takes no
+    # SVD; every row is idle and the residual is |rn| / |rn|
+    zero_dbar, zero_fueter = _zero_conditions(dbar_conditions), _zero_conditions(fueter_conditions)
+    assert admissibility._independent_blocks(assemble_system(zero_fueter)[0]) == []
+    for Z in (zero_dbar, zero_fueter):
+        rep = solve_admissibility(Z)
+        assert (rep.feasible, rep.residual, rep.free_dim, rep.kernel) == \
+            (False, 1.0, Z.unknown_count(), None)
+    stack = [dbar_conditions(), zero_fueter, zero_dbar, fueter_conditions()]
+    reports = admissibility._decide_stack(stack)
+    for C, report in zip(stack, reports):
+        alone = solve_admissibility(C)
+        assert (report.feasible, report.residual, report.free_dim) == \
+            (alone.feasible, alone.residual, alone.free_dim)
+        if alone.feasible:
+            assert np.array_equal(report.kernel.b, alone.kernel.b)
+    assert [r.feasible for r in reports] == [True, False, False, True]
+
+
+def _count_svd_calls(monkeypatch, stack):
+    calls, svd = [], np.linalg.svd
+    with monkeypatch.context() as patch:
+        patch.setattr(admissibility.np.linalg, "svd",
+                      lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
+        admissibility._decide_stack(stack)
+    return len(calls)
+
+
+def _block_shapes(C):
+    return {(rows.shape[1], cols.shape[1])
+            for rows, cols in admissibility._independent_blocks(assemble_system(C)[0])}
+
+
+def test_blocks_of_one_shape_take_one_svd(monkeypatch):
+    # one np.linalg.svd per block shape over the whole stack, however many
+    # blocks and systems share it
+    m2r_q3 = next(case for case in gallery() if case.name == "m2r_q3").build()
+    assert len(_block_shapes(m2r_q3)) == 6
+    assert _count_svd_calls(monkeypatch, [m2r_q3]) == 6
+    assert _count_svd_calls(monkeypatch, _dim3_draws(count=100, seed=17)) == 1
+    cases = [case.build() for case in gallery()]
+    shapes = set().union(*map(_block_shapes, cases))
+    assert len(shapes) < sum(len(_block_shapes(C)) for C in cases)
+    assert _count_svd_calls(monkeypatch, cases) == len(shapes)
 
 
 # -- the residual of an infeasible system does not depend on the scale of a ------
